@@ -1,0 +1,11 @@
+//go:build !unix
+
+package main
+
+import "time"
+
+// Without getrusage the two metrics that rest on it read 0.
+
+func cpuTime() time.Duration { return 0 }
+
+func peakRSSMB() float64 { return 0 }
