@@ -71,7 +71,14 @@ func main() {
 		os.Exit(2)
 	}
 
-	failed := false
+	if check(oldR, newR, *maxRegress, *minHitImp) {
+		os.Exit(1)
+	}
+}
+
+// check applies every gate and reports whether any failed. A gate whose
+// field is absent from the new report is skipped.
+func check(oldR, newR report, maxRegress, minHitImp float64) (failed bool) {
 	fail := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "benchguard: FAIL: "+format+"\n", args...)
 		failed = true
@@ -85,12 +92,12 @@ func main() {
 	switch {
 	case oldNs <= 0 || newNs <= 0:
 		fail("executor_ns_per_command missing (old=%v new=%v)", oldNs, newNs)
-	case newNs > oldNs*(1+*maxRegress/100):
+	case newNs > oldNs*(1+maxRegress/100):
 		fail("executor ns/command regressed %.1f%% (%.2f -> %.2f, limit %.0f%%)",
-			100*(newNs-oldNs)/oldNs, oldNs, newNs, *maxRegress)
+			100*(newNs-oldNs)/oldNs, oldNs, newNs, maxRegress)
 	default:
 		pass("executor ns/command %.2f -> %.2f (%+.1f%%, limit +%.0f%%)",
-			oldNs, newNs, 100*(newNs-oldNs)/oldNs, *maxRegress)
+			oldNs, newNs, 100*(newNs-oldNs)/oldNs, maxRegress)
 	}
 
 	// Allocation gates: the hot paths must stay at zero.
@@ -109,11 +116,11 @@ func main() {
 
 	// Data-plane gate: flat table must beat the map-backed reference.
 	if imp, ok := newR["resident_hit_improvement_pct"]; ok {
-		if imp < *minHitImp {
+		if imp < minHitImp {
 			fail("resident-hit improvement %.1f%% below required %.0f%% (flat %.2fns vs sparse %.2fns)",
-				imp, *minHitImp, newR["resident_hit_ns_flat"], newR["resident_hit_ns_sparse"])
+				imp, minHitImp, newR["resident_hit_ns_flat"], newR["resident_hit_ns_sparse"])
 		} else {
-			pass("resident-hit flat beats sparse by %.1f%% (>= %.0f%%)", imp, *minHitImp)
+			pass("resident-hit flat beats sparse by %.1f%% (>= %.0f%%)", imp, minHitImp)
 		}
 	}
 
@@ -127,7 +134,5 @@ func main() {
 		}
 	}
 
-	if failed {
-		os.Exit(1)
-	}
+	return failed
 }

@@ -31,7 +31,6 @@ import (
 
 	"hipec/internal/bench"
 	"hipec/internal/kevent"
-	"hipec/internal/simtime"
 )
 
 func main() {
@@ -48,21 +47,11 @@ func main() {
 		shards    = flag.Int("shards", 0, "run N independent kernels on N goroutines (the sharded scale harness) and print merged metrics; with -event-log, capture shard 0's stream")
 		shardSeed = flag.Uint64("shard-seed", 0, "master seed for the sharded harness's per-shard scatter phases (0 = every shard runs the canonical workload)")
 		shardSer  = flag.Bool("shard-serial", false, "run the shards sequentially on one goroutine (results are identical; only wall time changes)")
-		timer     = flag.String("timer", "", "simtime scheduler backend: wheel (default) or heap (reference implementation)")
 		substr    = flag.String("substrate", "sim", "substrate: sim (deterministic virtual time) or real (wall clock, real page store, concurrent clients)")
 		storeKind = flag.String("store", "file", "real-substrate store backend: file, mem, tiered, sharded, mmap")
 	)
 	flag.Parse()
 	bench.SetParallelism(*workers)
-
-	if *timer != "" {
-		sched, ok := simtime.SchedulerByName(*timer)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "timer: unknown scheduler %q (want wheel or heap)\n", *timer)
-			os.Exit(1)
-		}
-		simtime.SetDefaultScheduler(sched)
-	}
 
 	if *substr != "" && *substr != "sim" {
 		if *substr != "real" {

@@ -33,7 +33,6 @@ func main() {
 	pageSize := flag.Int("pagesize", 4096, "page size in bytes")
 	frames := flag.Int("frames", 4096, "physical memory size in frames")
 	maxConns := flag.Int("max-conns", 64, "max concurrently served connections")
-	batchWindow := flag.Duration("batch-window", 0, "linger this long for more requests before submitting a non-full batch")
 	flag.Parse()
 
 	store, err := hipec.OpenStore(*storeKind, *storePath, *pageSize)
@@ -42,14 +41,8 @@ func main() {
 	}
 	defer store.Close()
 
-	opts := []hipec.ServeOption{
-		hipec.WithFrames(*frames),
-		hipec.WithMaxConns(*maxConns),
-	}
-	if *batchWindow > 0 {
-		opts = append(opts, hipec.WithBatchWindow(*batchWindow))
-	}
-	srv, err := hipec.Serve(*addr, store, opts...)
+	srv, err := hipec.Serve(*addr, store,
+		hipec.WithFrames(*frames), hipec.WithMaxConns(*maxConns))
 	if err != nil {
 		log.Fatal(err)
 	}

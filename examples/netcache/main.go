@@ -41,9 +41,7 @@ func main() {
 		}
 		defer store.Close()
 
-		srv, err := hipec.Serve("127.0.0.1:0", store,
-			hipec.WithFrames(cfg.KernelFrames()),
-			hipec.WithBurstFraction(0.5))
+		srv, err := hipec.Serve("127.0.0.1:0", store, hipec.WithFrames(cfg.KernelFrames()))
 		if err != nil {
 			log.Fatal(err)
 		}

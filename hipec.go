@@ -57,7 +57,7 @@
 // examples/netcache):
 //
 //	srv, err := hipec.Serve("127.0.0.1:0", store,
-//	    hipec.WithMaxConns(128), hipec.WithBatchWindow(100*time.Microsecond))
+//	    hipec.WithFrames(1024), hipec.WithMaxConns(128))
 //	...
 //	cli, err := hipec.Dial(srv.Addr().String())
 //	region, err := cli.Open(64, hipec.WithPolicySource("mru", hipec.PolicyMRUSource(16)))
@@ -347,13 +347,8 @@ var (
 	WithMaxConns = server.WithMaxConns
 	// WithMaxBatch bounds how many wire commands one Loop hop applies.
 	WithMaxBatch = server.WithMaxBatch
-	// WithBatchWindow lets a connection linger for stragglers before
-	// submitting a non-full batch.
-	WithBatchWindow = server.WithBatchWindow
 	// WithFrames sets a served kernel's physical memory in frames.
 	WithFrames = server.WithFrames
-	// WithBurstFraction sets a served kernel's partition_burst fraction.
-	WithBurstFraction = server.WithBurstFraction
 )
 
 // NewClient wraps a kernel in a serialized command loop and returns it as

@@ -43,11 +43,11 @@ func checkWallClock(p *Pkg, report reportFunc) {
 }
 
 // simClockIdents are the simtime identifiers that pin code to the concrete
-// simulation backend. The value types (simtime.Time, simtime.Duration) and
-// the scheduler selectors stay legal everywhere: they are substrate-neutral
-// vocabulary, not a backend dependency.
+// simulation backend. The value types (simtime.Time, simtime.Duration) stay
+// legal everywhere: they are substrate-neutral vocabulary, not a backend
+// dependency.
 var simClockIdents = map[string]bool{
-	"Clock": true, "NewClock": true, "NewClockSched": true, "Event": true,
+	"Clock": true, "NewClock": true, "Event": true,
 }
 
 // checkSimClock keeps the substrate seam tight: outside internal/substrate,

@@ -9,7 +9,6 @@ import (
 	"hipec/internal/kevent"
 	"hipec/internal/pageout"
 	"hipec/internal/policies"
-	"hipec/internal/simtime"
 	"hipec/internal/substrate"
 	"hipec/internal/vm"
 )
@@ -42,18 +41,6 @@ type PerfReport struct {
 	ExecutorNsPerCommand float64 `json:"executor_ns_per_command"`
 	ExecutorAllocsPerRun float64 `json:"executor_allocs_per_run"`
 
-	// Verifier fast path: the same loop with the per-command runtime
-	// checks forced back on (ForceChecked), versus the default where the
-	// static verifier's clean bill lets the executor skip them. On typical
-	// hosts the delta sits inside measurement noise (a few percent either
-	// way): the elided checks are perfectly predicted branches on cache-hot
-	// operands, and per-command cost is dominated by the Run prologue. The
-	// measurement is kept because it bounds the cost of the checks — the
-	// verifier's value is proving their elision is safe, not a speedup.
-	CheckedNsPerCommand  float64 `json:"checked_ns_per_command"`
-	VerifiedNsPerCommand float64 `json:"verified_ns_per_command"`
-	VerifiedSpeedupPct   float64 `json:"verified_speedup_pct"`
-
 	// Event spine overhead: the same loop with no sink attached (the
 	// registry alone) versus with a counting sink attached to the spine.
 	SpineNsPerCommandNoSink   float64 `json:"spine_ns_per_command_no_sink"`
@@ -78,10 +65,6 @@ type PerfReport struct {
 	ShardFaults      int64   `json:"shard_faults_total"`
 	ShardWallSeconds float64 `json:"shard_wall_seconds"`
 	FaultsPerSec     float64 `json:"faults_per_sec"`
-
-	// TimerScheduler records which simtime backend timed the runs
-	// ("wheel" is the default; "heap" is the reference implementation).
-	TimerScheduler string `json:"timer_scheduler"`
 }
 
 // JSON renders the report with stable field order and indentation.
@@ -127,9 +110,6 @@ func MeasurePerf() (PerfReport, error) {
 	if err := measureExecutor(&r); err != nil {
 		return r, err
 	}
-	if err := measureVerified(&r); err != nil {
-		return r, err
-	}
 	if err := measureSpine(&r); err != nil {
 		return r, err
 	}
@@ -139,7 +119,6 @@ func MeasurePerf() (PerfReport, error) {
 	if err := measureSharded(&r); err != nil {
 		return r, err
 	}
-	r.TimerScheduler = simtime.DefaultScheduler().String()
 	return r, nil
 }
 
@@ -235,9 +214,8 @@ func measureSharded(r *PerfReport) error {
 // with the calibrated virtual costs charged, optionally with extra sinks
 // attached to the kernel spine. It reports wall time, commands interpreted,
 // and heap allocations per run.
-func executorLoop(iters int, forceChecked bool, sinks ...kevent.Sink) (wall time.Duration, cmds int64, allocsPerRun float64, err error) {
+func executorLoop(iters int, sinks ...kevent.Sink) (wall time.Duration, cmds int64, allocsPerRun float64, err error) {
 	k := core.New(core.Config{Frames: 4096, Sinks: sinks})
-	k.Executor.ForceChecked = forceChecked
 	sp := k.NewSpace()
 	e, c, err := k.Allocate(sp, 64*4096, core.WithPolicy(policies.FIFO(64)))
 	if err != nil {
@@ -274,7 +252,7 @@ func measureExecutor(r *PerfReport) error {
 	const iters = 500000
 	const reps = 5
 	for i := 0; i < reps; i++ {
-		wall, cmds, allocs, err := executorLoop(iters, false)
+		wall, cmds, allocs, err := executorLoop(iters)
 		if err != nil {
 			return err
 		}
@@ -290,60 +268,12 @@ func measureExecutor(r *PerfReport) error {
 	return nil
 }
 
-// measureVerified re-runs the loop with ForceChecked, quantifying what
-// the verified bit buys: the delta is the per-command cost of the operand
-// kind, jump-range, and command-counter checks the static verifier proves
-// redundant.
-func measureVerified(r *PerfReport) error {
-	const iters = 200000
-	const reps = 10
-	one := func(forceChecked bool) (float64, error) {
-		wall, cmds, _, err := executorLoop(iters, forceChecked)
-		if err != nil {
-			return 0, err
-		}
-		return float64(wall.Nanoseconds()) / float64(cmds), nil
-	}
-	// Interleave the two modes and take best-of-reps per mode: the delta
-	// is a few percent, smaller than cold-start and frequency drift, so
-	// back-to-back pairs keep the comparison fair.
-	if _, err := one(true); err != nil {
-		return err
-	}
-	if _, err := one(false); err != nil {
-		return err
-	}
-	checked, verified := 0.0, 0.0
-	for i := 0; i < reps; i++ {
-		c, err := one(true)
-		if err != nil {
-			return err
-		}
-		v, err := one(false)
-		if err != nil {
-			return err
-		}
-		if checked == 0 || c < checked {
-			checked = c
-		}
-		if verified == 0 || v < verified {
-			verified = v
-		}
-	}
-	r.CheckedNsPerCommand = checked
-	r.VerifiedNsPerCommand = verified
-	if checked > 0 {
-		r.VerifiedSpeedupPct = 100 * (checked - verified) / checked
-	}
-	return nil
-}
-
 // measureSpine re-runs the loop with a counting sink attached, recording
 // the per-command cost of having a spine consumer.
 func measureSpine(r *PerfReport) error {
 	const iters = 500000
 	var counting kevent.Counting
-	wall, cmds, _, err := executorLoop(iters, false, &counting)
+	wall, cmds, _, err := executorLoop(iters, &counting)
 	if err != nil {
 		return err
 	}

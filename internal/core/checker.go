@@ -139,9 +139,7 @@ func (ck *Checker) wake(now simtime.Time) {
 // Activate call graph, page-register def-before-use, the CR-aware flow
 // walk, loop boundedness, and Request/Release frame balance. Every
 // diagnostic is emitted on the event spine; error-severity diagnostics are
-// returned and reject the registration. A spec that verifies with no
-// errors sets the container's verified bit, letting the executor skip the
-// per-command checks the verifier proved redundant.
+// returned and reject the registration.
 func (ck *Checker) ValidateSpec(c *Container) []error {
 	diags := verify.Analyze(buildUnit(c))
 	var errs []error
@@ -163,7 +161,6 @@ func (ck *Checker) ValidateSpec(c *Container) []error {
 			}
 		}
 	}
-	c.verified = len(errs) == 0
 	ck.noteValidation(errs)
 	return errs
 }

@@ -148,11 +148,6 @@ type Container struct {
 	termReason string
 
 	extensions bool
-	// verified is set by the security checker when the spec passed the
-	// static verifier with no errors; the executor then skips the
-	// per-command operand-kind and range checks the verifier proved
-	// redundant (see Executor.ForceChecked).
-	verified bool
 }
 
 // Stats reports per-container policy counters, derived from the event spine.
@@ -294,14 +289,8 @@ func (c *Container) IntOperand(name string) (int64, error) {
 func (c *Container) AppendEventForTest(p Program) int {
 	c.events = append(c.events, p)
 	c.decoded = append(c.decoded, decodeProgram(p))
-	// The new program never saw the verifier; drop the fast-path waiver.
-	c.verified = false
 	return len(c.events) - 1
 }
-
-// Verified reports whether the container's spec passed the static verifier
-// with no errors (enabling the executor's unchecked fast path).
-func (c *Container) Verified() bool { return c.verified }
 
 // eventName returns a printable name for an event number.
 func (c *Container) eventName(ev int) string {

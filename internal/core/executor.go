@@ -44,13 +44,6 @@ type Executor struct {
 	// io.Writer into the classic one-line-per-command format.
 	Trace kevent.Sink
 
-	// ForceChecked disables the verified-container fast path, running the
-	// per-command operand-kind and range checks even for specs the static
-	// verifier proved safe. Benchmarks use it to measure the cost of the
-	// waived checks; it is also an escape hatch if the verifier is ever
-	// suspected of a soundness bug.
-	ForceChecked bool
-
 	// MaxSteps bounds commands per outer activation as a hard backstop
 	// against runaway policies when command costs are zero (the adaptive
 	// security checker handles the timed case).
@@ -61,7 +54,7 @@ type Executor struct {
 
 	// FlushQuantum caps the virtual time the executor accrues locally
 	// before charging it to the kernel clock in one batch. Charging the
-	// clock per command walks the event heap on every command; batching
+	// clock per command walks the event queue on every command; batching
 	// amortizes that while flushCharge's event-boundary stepping keeps
 	// every scheduled callback (security-checker wakeups, disk
 	// completions) firing at exactly the clock it would see under
@@ -264,15 +257,13 @@ func (x *Executor) exec(c *Container, ev, depth int, steps *int) (*Operand, erro
 	prog := c.decoded[ev]
 	per := x.Costs.PerCommand
 	quantum := x.FlushQuantum
-	// chk enables the per-command checks the static verifier makes
-	// redundant: operand kinds, read-only writes, jump-target and
-	// command-counter ranges. Runtime-state checks (empty queues and
-	// registers, orphaned frames, division by zero, step/time budgets) are
-	// never waived — the verifier cannot prove those.
-	chk := x.ForceChecked || !c.verified
+	// Every command is checked as it runs — operand kinds, read-only
+	// writes, jump-target and command-counter ranges — whether or not the
+	// static verifier admitted the spec: the verifier is the admission
+	// gate, these checks are what a corrupted container hits.
 	cc := 1 // CC 0 is the magic word
 	for {
-		if chk && (cc < 1 || cc >= len(prog)) {
+		if cc < 1 || cc >= len(prog) {
 			return nil, x.fail(c, ev, cc, "command counter out of range (missing Return?)")
 		}
 		*steps++
@@ -308,13 +299,11 @@ func (x *Executor) exec(c *Container, ev, depth int, steps *int) (*Operand, erro
 
 		case OpArith:
 			dst := &c.operands[op1]
-			if chk {
-				if dst.Kind != KindInt {
-					return nil, x.fail(c, ev, cc, "Arith destination %#02x (%s) is %v", op1, dst.Name, dst.Kind)
-				}
-				if dst.readOnly || dst.live != nil {
-					return nil, x.fail(c, ev, cc, "Arith write to read-only operand %#02x (%s)", op1, dst.Name)
-				}
+			if dst.Kind != KindInt {
+				return nil, x.fail(c, ev, cc, "Arith destination %#02x (%s) is %v", op1, dst.Name, dst.Kind)
+			}
+			if dst.readOnly || dst.live != nil {
+				return nil, x.fail(c, ev, cc, "Arith write to read-only operand %#02x (%s)", op1, dst.Name)
 			}
 			var src int64
 			switch flag {
@@ -360,7 +349,7 @@ func (x *Executor) exec(c *Container, ev, depth int, steps *int) (*Operand, erro
 			// scan loops and intOp is just over the compiler's inline
 			// budget. The error path falls back to intOp for diagnostics.
 			ao, bo := &c.operands[op1], &c.operands[op2]
-			if chk && (ao.Kind != KindInt || bo.Kind != KindInt) {
+			if ao.Kind != KindInt || bo.Kind != KindInt {
 				if _, err := x.intOp(c, ev, cc, op1); err != nil {
 					return nil, err
 				}
@@ -429,7 +418,7 @@ func (x *Executor) exec(c *Container, ev, depth int, steps *int) (*Operand, erro
 				return nil, err
 			}
 			reg := &c.operands[op2]
-			if chk && reg.Kind != KindPage {
+			if reg.Kind != KindPage {
 				return nil, x.fail(c, ev, cc, "InQ operand %#02x is %v, want page", op2, reg.Kind)
 			}
 			c.cr = reg.Page != nil && reg.Page.InQueue(q)
@@ -449,7 +438,7 @@ func (x *Executor) exec(c *Container, ev, depth int, steps *int) (*Operand, erro
 			}
 			c.cr = false
 			if take {
-				if chk && (target < 1 || target >= len(prog)) {
+				if target < 1 || target >= len(prog) {
 					return nil, x.fail(c, ev, cc, "jump target %d out of range", target)
 				}
 				cc = target
@@ -462,7 +451,7 @@ func (x *Executor) exec(c *Container, ev, depth int, steps *int) (*Operand, erro
 				return nil, err
 			}
 			reg := &c.operands[op1]
-			if chk && reg.Kind != KindPage {
+			if reg.Kind != KindPage {
 				return nil, x.fail(c, ev, cc, "DeQueue destination %#02x is %v, want page", op1, reg.Kind)
 			}
 			if err := x.checkOverwrite(c, ev, cc, reg); err != nil {
@@ -569,7 +558,7 @@ func (x *Executor) exec(c *Container, ev, depth int, steps *int) (*Operand, erro
 
 		case OpFlush:
 			reg := &c.operands[op1]
-			if chk && reg.Kind != KindPage {
+			if reg.Kind != KindPage {
 				return nil, x.fail(c, ev, cc, "Flush operand %#02x is %v, want page", op1, reg.Kind)
 			}
 			if reg.Page == nil {
@@ -631,7 +620,7 @@ func (x *Executor) exec(c *Container, ev, depth int, steps *int) (*Operand, erro
 
 		case OpFind:
 			reg := &c.operands[op1]
-			if chk && reg.Kind != KindPage {
+			if reg.Kind != KindPage {
 				return nil, x.fail(c, ev, cc, "Find destination %#02x is %v, want page", op1, reg.Kind)
 			}
 			if err := x.checkOverwrite(c, ev, cc, reg); err != nil {

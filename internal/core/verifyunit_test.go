@@ -124,21 +124,45 @@ func TestVerifierRejectsFrameLeakLoop(t *testing.T) {
 	}
 }
 
-// TestVerifiedBitLifecycle: accepted specs run on the unchecked fast path;
-// programs injected behind the verifier's back drop the waiver.
-func TestVerifiedBitLifecycle(t *testing.T) {
-	k := testKernel(64)
-	sp := k.NewSpace()
-	_, c, err := k.Allocate(sp, 4*4096, WithPolicy(simpleSpec(4)))
-	if err != nil {
-		t.Fatal(err)
+// TestChecksRunOnVerifiedContainer: the verifier is an admission gate, not
+// a waiver. State that goes bad behind its back — an operand whose kind is
+// corrupted after registration, a program injected without validation —
+// must hit the executor's per-command checks and surface as a typed
+// ErrPolicyFault.
+func TestChecksRunOnVerifiedContainer(t *testing.T) {
+	cases := []struct {
+		name    string
+		corrupt func(c *Container) (ev int)
+		want    string
+	}{
+		{"operand kind corrupted after registration", func(c *Container) int {
+			c.operands[SlotPageReg].Kind = KindInt
+			return EventPageFault
+		}, "want page"},
+		{"kind misuse in a program appended behind the verifier", func(c *Container) int {
+			return c.AppendEventForTest(NewProgram(
+				Encode(OpArith, SlotFreeQueue, SlotOne, ArithAdd),
+				Encode(OpReturn, SlotScratch, 0, 0)))
+		}, "Arith destination"},
+		{"jump out of range in a program appended behind the verifier", func(c *Container) int {
+			return c.AppendEventForTest(NewProgram(Encode(OpJump, JumpAlways, 0, 99)))
+		}, "jump target"},
 	}
-	if !c.Verified() {
-		t.Fatal("accepted spec must set the verified bit")
-	}
-	c.AppendEventForTest(NewProgram(Encode(OpReturn, 0, 0, 0)))
-	if c.Verified() {
-		t.Fatal("AppendEventForTest must clear the verified bit")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			k := testKernel(64)
+			_, c, err := k.Allocate(k.NewSpace(), 4*4096, WithPolicy(simpleSpec(4)))
+			if err != nil {
+				t.Fatalf("verifier-clean spec rejected: %v", err)
+			}
+			_, err = k.Executor.Run(c, tc.corrupt(c))
+			if !errors.Is(err, hiperr.ErrPolicyFault) || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Run = %v, want ErrPolicyFault mentioning %q", err, tc.want)
+			}
+			if c.State() != StateTerminated {
+				t.Fatalf("container state %v after the fault, want terminated", c.State())
+			}
+		})
 	}
 }
 
@@ -156,12 +180,8 @@ func TestAllowUnboundedDowngrade(t *testing.T) {
 		Encode(OpReturn, SlotPageReg, 0, 0),
 	)
 	k.Executor.MaxSteps = 100 // terminate quickly if executed
-	_, c, err := k.Allocate(sp, 4*4096, WithPolicy(spec))
-	if err != nil {
+	if _, _, err := k.Allocate(sp, 4*4096, WithPolicy(spec)); err != nil {
 		t.Fatalf("AllowUnbounded must accept the infinite loop: %v", err)
-	}
-	if !c.Verified() {
-		t.Fatal("boundedness waiver must not clear the verified bit (kind safety is independent)")
 	}
 
 	// Kind errors still reject.
@@ -193,28 +213,5 @@ func TestVerifyDiagEvents(t *testing.T) {
 	}
 	if g.Flags[kevent.EvVerifyDiag] == 0 {
 		t.Fatal("error-severity diagnostics must set the event flag")
-	}
-}
-
-// TestForceCheckedEquivalence: the checked and unchecked interpreters must
-// agree on a verified program's result.
-func TestForceCheckedEquivalence(t *testing.T) {
-	run := func(force bool) int64 {
-		k := testKernel(64)
-		k.Executor.ForceChecked = force
-		sp := k.NewSpace()
-		e, c, err := k.Allocate(sp, 8*4096, WithPolicy(simpleSpec(8)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := int64(0); i < 6; i++ {
-			if _, err := sp.Touch(e.Start + i*4096); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return int64(c.Allocated())
-	}
-	if a, b := run(true), run(false); a != b {
-		t.Fatalf("checked run allocated %d, fast-path run %d", a, b)
 	}
 }

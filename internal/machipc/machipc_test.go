@@ -201,6 +201,9 @@ func TestRealPortRoundTrip(t *testing.T) {
 // TestRealPortCloseStopsServer is the lifecycle contract: Close must
 // actually terminate the echo-server goroutine, not just make Call hang.
 func TestRealPortCloseStopsServer(t *testing.T) {
+	// Earlier tests' closed echo servers exit asynchronously; let them go
+	// before taking the baseline.
+	time.Sleep(10 * time.Millisecond)
 	before := runtime.NumGoroutine()
 	ports := make([]*RealPort, 16)
 	for i := range ports {

@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"fmt"
+	"math"
 	"net"
 	"sync"
 
@@ -213,11 +214,14 @@ func (c *Client) Open(pages int, opts ...core.RegionOption) (core.RegionID, erro
 	if o.Spec != nil {
 		return 0, fmt.Errorf("hipec client: WithPolicySpec is in-process only; use WithPolicySource: %w", hiperr.ErrBadRequest)
 	}
-	if pages < 0 {
-		return 0, fmt.Errorf("hipec client: negative region size: %w", hiperr.ErrBadRequest)
+	if pages < 0 || int64(pages) > math.MaxUint32 {
+		return 0, fmt.Errorf("hipec client: region size %d pages out of range: %w", pages, hiperr.ErrBadRequest)
 	}
+	// A non-positive budget means "kernel default", as in-process; 0 is its
+	// wire spelling.
+	retry := uint32(min(max(int64(o.Retry), 0), math.MaxUint32))
 	resp, err := c.roundTrip(func(dst []byte, seq uint32) ([]byte, error) {
-		return wire.AppendOpen(dst, seq, uint32(pages), o.Name, o.Source, uint32(o.Retry))
+		return wire.AppendOpen(dst, seq, uint32(pages), o.Name, o.Source, retry)
 	})
 	if err != nil {
 		return 0, err

@@ -7,11 +7,10 @@
 // command, so paying it per request would put the boundary crossing the
 // paper eliminated right back on the hot path — this time as a channel, not
 // a syscall. Instead each connection decodes as many frames as have already
-// arrived (bounded by WithMaxBatch, optionally lingering WithBatchWindow for
-// stragglers) and applies the whole batch in ONE Loop.Call, then writes all
-// the replies with one flush. Pipelined clients amortize the crossing
-// exactly the way the policy executor amortizes clock charges across an
-// event boundary.
+// arrived (bounded by WithMaxBatch) and applies the whole batch in ONE
+// Loop.Call, then writes all the replies with one flush. Pipelined clients
+// amortize the crossing exactly the way the policy executor amortizes clock
+// charges across an event boundary.
 package server
 
 import (
@@ -20,7 +19,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"time"
 
 	"hipec/internal/core"
 	"hipec/internal/substrate"
@@ -32,19 +30,22 @@ import (
 type Option func(*options)
 
 type options struct {
-	frames      int
-	maxConns    int
-	maxBatch    int
-	batchWindow time.Duration
-	burst       float64
+	frames   int
+	maxConns int
+	maxBatch int
 }
 
 func defaults() options {
-	return options{frames: 4096, maxConns: 64, maxBatch: DefaultMaxBatch, burst: 0.5}
+	return options{frames: 4096, maxConns: 64, maxBatch: DefaultMaxBatch}
 }
 
 // DefaultMaxBatch bounds how many decoded requests one Loop.Call applies.
 const DefaultMaxBatch = 64
+
+// maxWireRetry caps the page-in retry budget a peer may request for a
+// region. At the default 500 µs doubling backoff, eight attempts hold the
+// loop for at most ~64 ms per failing fault.
+const maxWireRetry = 8
 
 // WithFrames sets the kernel's physical memory size in frames (default
 // 4096).
@@ -77,28 +78,6 @@ func WithMaxBatch(n int) Option {
 	}
 }
 
-// WithBatchWindow makes a connection linger up to d for more requests
-// before submitting a non-full batch (default 0: submit whatever has
-// already arrived). A window trades latency for fewer Loop hops under
-// bursty, non-pipelined load.
-func WithBatchWindow(d time.Duration) Option {
-	return func(o *options) {
-		if d > 0 {
-			o.batchWindow = d
-		}
-	}
-}
-
-// WithBurstFraction sets the kernel's partition_burst fraction (default
-// 0.5, the paper's figure).
-func WithBurstFraction(f float64) Option {
-	return func(o *options) {
-		if f > 0 {
-			o.burst = f
-		}
-	}
-}
-
 // Server serves the wire protocol over TCP. It owns the kernel and its
 // command loop; the backing store stays the caller's (close it after
 // Close returns).
@@ -126,7 +105,7 @@ func New(store substrate.Store, opts ...Option) *Server {
 	k := core.New(core.Config{
 		Frames:        o.frames,
 		PageSize:      store.PageSize(),
-		BurstFraction: o.burst,
+		BurstFraction: 0.5, // the paper's partition_burst figure
 		Substrate:     substrate.Config{Kind: substrate.KindReal, Store: store},
 	})
 	return &Server{
@@ -266,52 +245,23 @@ func (s *Server) handle(c net.Conn) {
 	out := bufio.NewWriter(c)
 	batch := make([]wire.Request, 0, s.opts.maxBatch)
 	var reply []byte
-	var window *time.Timer
 	for {
 		first, ok := <-reqs
 		if !ok {
 			return
 		}
 		batch = append(batch[:0], first)
-		// Fill the batch from what has already arrived; with a window,
-		// linger for stragglers.
-		if s.opts.batchWindow > 0 && len(batch) < s.opts.maxBatch {
-			if window == nil {
-				window = time.NewTimer(s.opts.batchWindow)
-				defer window.Stop()
-			} else {
-				window.Reset(s.opts.batchWindow)
-			}
-		fill:
-			for len(batch) < s.opts.maxBatch {
-				select {
-				case r, ok := <-reqs:
-					if !ok {
-						break fill
-					}
-					batch = append(batch, r)
-				case <-window.C:
-					break fill
-				}
-			}
-			if !window.Stop() {
-				select {
-				case <-window.C:
-				default:
-				}
-			}
-		} else {
-		drain:
-			for len(batch) < s.opts.maxBatch {
-				select {
-				case r, ok := <-reqs:
-					if !ok {
-						break drain
-					}
-					batch = append(batch, r)
-				default:
+		// Fill the batch from what has already arrived.
+	drain:
+		for len(batch) < s.opts.maxBatch {
+			select {
+			case r, ok := <-reqs:
+				if !ok {
 					break drain
 				}
+				batch = append(batch, r)
+			default:
+				break drain
 			}
 		}
 
@@ -383,7 +333,10 @@ func (s *Server) execute(k *core.Kernel, sess *core.CacheSession, req wire.Reque
 			opts = append(opts, core.WithPolicySource(req.Name, req.Source))
 		}
 		if req.Retry > 0 {
-			opts = append(opts, core.WithRegionRetryBudget(int(req.Retry)))
+			// The budget is the peer's to ask for but the loop's to spend:
+			// every retry sleeps a doubling real-time backoff on the one
+			// goroutine all clients share.
+			opts = append(opts, core.WithRegionRetryBudget(int(min(req.Retry, maxWireRetry))))
 		}
 		r, err := sess.Open(k, int(req.Pages), opts...)
 		if err != nil {

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -335,5 +337,59 @@ func BenchmarkSubmission(b *testing.B) {
 				}
 			})
 		})
+	}
+}
+
+// brokenStore fails (and counts) every ReadPage once armed.
+type brokenStore struct {
+	substrate.Store
+	armed atomic.Bool
+	reads atomic.Int64
+}
+
+func (s *brokenStore) ReadPage(key substrate.PageKey) ([]byte, bool, error) {
+	if s.armed.Load() {
+		s.reads.Add(1)
+		return nil, true, fmt.Errorf("broken store: %w", hiperr.ErrDiskIO)
+	}
+	return s.Store.ReadPage(key)
+}
+
+// A peer can put any 32-bit retry budget on the wire. The server must cap
+// it: each retry is a doubling real-time sleep on the loop goroutine, so an
+// unclamped 4-billion-attempt budget on a failing store stalls every client.
+func TestHostileRetryBudgetIsClamped(t *testing.T) {
+	const pages = 64
+	store := &brokenStore{Store: substrate.NewMemStore(testPageSize, true)}
+	srv := New(store, WithFrames(16))
+	if err := srv.ListenAndServe("127.0.0.1:0"); err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	defer srv.Close()
+	c, err := Dial(srv.Addr().String())
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer c.Close()
+
+	// Client.Open would never send this; speak the wire directly.
+	resp, err := c.roundTrip(func(dst []byte, seq uint32) ([]byte, error) {
+		return wire.AppendOpen(dst, seq, pages, "", "", math.MaxUint32)
+	})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	r := core.RegionID(resp.Region)
+	for p := 0; p < pages; p++ {
+		if err := c.WritePage(r, p, []byte{byte(p)}); err != nil {
+			t.Fatalf("write %d: %v", p, err)
+		}
+	}
+	store.armed.Store(true)
+	if err := c.TouchPage(r, 0); !errors.Is(err, hiperr.ErrDiskIO) {
+		t.Fatalf("touch on a broken store = %v, want ErrDiskIO", err)
+	}
+	if got := store.reads.Load(); got != maxWireRetry {
+		t.Fatalf("page-in attempts = %d, want the cap %d", got, maxWireRetry)
 	}
 }

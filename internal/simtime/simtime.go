@@ -8,19 +8,15 @@
 // reported by the harness are virtual nanoseconds accumulated from the
 // calibrated cost constants, not wall-clock measurements.
 //
-// Two scheduler backends implement the event queue behind the same Clock
-// API. The default is a hierarchical timer wheel (O(1) schedule/cancel,
-// bitmap-guided pop); the original container/heap implementation is
-// retained as the reference scheduler (`experiments -timer=heap`) and the
-// two are held equivalent by a differential test over random
-// schedule/cancel/advance sequences. Fired and cancelled events are
-// recycled through a per-clock freelist, so the steady-state fault path
-// (disk completions, daemon wakeups) schedules timers without allocating
-// and cancelled timers do not pin memory.
+// The event queue is a hierarchical timer wheel (O(1) schedule/cancel,
+// bitmap-guided pop); a differential test holds it to (when, seq) firing
+// order over random schedule/cancel/advance sequences. Fired and cancelled
+// events are recycled through a per-clock freelist, so the steady-state
+// fault path (disk completions, daemon wakeups) schedules timers without
+// allocating and cancelled timers do not pin memory.
 package simtime
 
 import (
-	"container/heap"
 	"fmt"
 	"math/bits"
 	"time"
@@ -42,49 +38,6 @@ func (t Time) Add(d Duration) Time { return t + Time(d) }
 // Sub returns the duration t-u.
 func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 
-// Scheduler selects the event-queue backend of a Clock.
-type Scheduler uint8
-
-const (
-	// SchedWheel is the hierarchical timer wheel (the default).
-	SchedWheel Scheduler = iota
-	// SchedHeap is the container/heap reference implementation.
-	SchedHeap
-)
-
-// String names the scheduler (the -timer flag values).
-func (s Scheduler) String() string {
-	if s == SchedHeap {
-		return "heap"
-	}
-	return "wheel"
-}
-
-// SchedulerByName resolves a -timer flag value; ok is false for unknown
-// names.
-func SchedulerByName(name string) (Scheduler, bool) {
-	switch name {
-	case "wheel":
-		return SchedWheel, true
-	case "heap":
-		return SchedHeap, true
-	}
-	return SchedWheel, false
-}
-
-// defaultScheduler is the backend NewClock uses. It is set once at process
-// startup (the experiments -timer flag) before any kernels are built;
-// concurrent sweep cells only read it.
-var defaultScheduler = SchedWheel
-
-// SetDefaultScheduler selects the backend for subsequently constructed
-// clocks. Call it before building kernels; it is not synchronized against
-// concurrent NewClock calls.
-func SetDefaultScheduler(s Scheduler) { defaultScheduler = s }
-
-// DefaultScheduler reports the backend NewClock will use.
-func DefaultScheduler() Scheduler { return defaultScheduler }
-
 // Event is a scheduled callback. Events fire in timestamp order; events with
 // equal timestamps fire in scheduling order (FIFO), which keeps the
 // simulation deterministic.
@@ -99,12 +52,9 @@ type Event struct {
 	fn       func(now Time)
 	canceled bool
 
-	// Heap scheduler state.
-	index int // heap index, -1 once removed
-
-	// Wheel scheduler state: intrusive doubly-linked slot-list membership
-	// plus the (level, slot) the event was filed under. level is noLevel
-	// when not on the wheel, overflowLevel for the beyond-horizon list.
+	// Wheel state: intrusive doubly-linked slot-list membership plus the
+	// (level, slot) the event was filed under. level is noLevel when not on
+	// the wheel, overflowLevel for the beyond-horizon list.
 	prev, next *Event
 	level      int8
 	slot       uint8
@@ -113,42 +63,7 @@ type Event struct {
 // When reports the virtual time at which the event is scheduled to fire.
 func (e *Event) When() Time { return e.when }
 
-// --- heap scheduler ---------------------------------------------------------
-
-// eventHeap implements heap.Interface ordered by (when, seq).
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].when != h[j].when {
-		return h[i].when < h[j].when
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	// Nil the vacated tail slot so the backing array does not keep the
-	// popped event reachable: a fired or cancelled timer must be
-	// recyclable immediately, not pinned by stale heap storage.
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
-}
-
-// --- wheel scheduler --------------------------------------------------------
+// --- timer wheel ------------------------------------------------------------
 
 // The wheel is a hashed hierarchical timing wheel (Varghese & Lauck):
 // wheelLevels levels of wheelSlots slots, with level-L slots spanning
@@ -156,8 +71,8 @@ func (h *eventHeap) Pop() any {
 // lowest level where it lies within one wheel revolution of the current
 // time. Events never cascade down levels: the pop path locates the global
 // minimum directly from per-level occupancy bitmaps, so firing order is
-// exactly the (when, seq) order the heap reference produces, and advancing
-// the clock costs nothing per empty tick.
+// exactly (when, seq) order, and advancing the clock costs nothing per empty
+// tick.
 //
 // Slot lists are intrusive and kept in ascending seq order (insertion is an
 // append; seq is monotonic). Level-0 slots hold a single timestamp, so
@@ -342,10 +257,7 @@ func better(e, best *Event) bool {
 type Clock struct {
 	now   Time
 	seq   uint64
-	sched Scheduler
-
-	events eventHeap   // heap backend
-	wheel  *timerWheel // wheel backend (nil under SchedHeap)
+	wheel *timerWheel
 
 	// nextEvent caches the earliest pending event (meaningful when
 	// nextValid; nil means the queue is empty). The Advance/Sleep fast
@@ -366,21 +278,8 @@ type Clock struct {
 // maxFreelist bounds the number of recycled events pooled per clock.
 const maxFreelist = 256
 
-// NewClock returns a clock positioned at time zero with an empty queue,
-// using the process-default scheduler backend.
-func NewClock() *Clock { return NewClockSched(defaultScheduler) }
-
-// NewClockSched returns a clock using the given scheduler backend.
-func NewClockSched(s Scheduler) *Clock {
-	c := &Clock{sched: s}
-	if s == SchedWheel {
-		c.wheel = &timerWheel{}
-	}
-	return c
-}
-
-// SchedulerKind reports the clock's event-queue backend.
-func (c *Clock) SchedulerKind() Scheduler { return c.sched }
+// NewClock returns a clock positioned at time zero with an empty queue.
+func NewClock() *Clock { return &Clock{wheel: &timerWheel{}} }
 
 // Now reports the current virtual time.
 func (c *Clock) Now() Time { return c.now }
@@ -420,11 +319,7 @@ func (c *Clock) At(t Time, fn func(now Time)) *Event {
 	e := c.newEvent()
 	e.when, e.seq, e.fn = t, c.seq, fn
 	c.seq++
-	if c.sched == SchedHeap {
-		heap.Push(&c.events, e)
-	} else {
-		c.wheel.schedule(e, c.now)
-	}
+	c.wheel.schedule(e, c.now)
 	// Tighten the earliest-due cache only if it is currently valid; an
 	// invalidated cache may be hiding an earlier pending event, which a
 	// refresh will rediscover. Strict < keeps the FIFO tie-break: an
@@ -440,10 +335,10 @@ func (c *Clock) newEvent() *Event {
 	if e := c.freelist; e != nil {
 		c.freelist = e.next
 		c.freeCount--
-		*e = Event{index: -1, level: noLevel}
+		*e = Event{level: noLevel}
 		return e
 	}
-	return &Event{index: -1, level: noLevel}
+	return &Event{level: noLevel}
 }
 
 // recycle returns a detached event to the freelist. Clearing fn is what
@@ -454,7 +349,7 @@ func (c *Clock) recycle(e *Event) {
 		e.fn = nil
 		return
 	}
-	*e = Event{index: -1, level: noLevel, next: c.freelist}
+	*e = Event{level: noLevel, next: c.freelist}
 	c.freelist = e
 	c.freeCount++
 }
@@ -467,20 +362,10 @@ func (c *Clock) FreelistLen() int { return c.freeCount }
 // already-canceled event is a no-op (provided the handle has not been
 // recycled into a new timer). It reports whether the event was pending.
 func (c *Clock) Cancel(e *Event) bool {
-	if e == nil || e.canceled {
+	if e == nil || e.canceled || e.level == noLevel {
 		return false
 	}
-	if c.sched == SchedHeap {
-		if e.index < 0 {
-			return false
-		}
-		heap.Remove(&c.events, e.index)
-	} else {
-		if e.level == noLevel {
-			return false
-		}
-		c.wheel.unlink(e)
-	}
+	c.wheel.unlink(e)
 	e.canceled = true
 	if c.nextValid && e == c.nextEvent {
 		c.nextValid = false
@@ -491,24 +376,11 @@ func (c *Clock) Cancel(e *Event) bool {
 }
 
 // Pending reports the number of scheduled (not yet fired) events.
-func (c *Clock) Pending() int {
-	if c.sched == SchedHeap {
-		return len(c.events)
-	}
-	return c.wheel.count
-}
+func (c *Clock) Pending() int { return c.wheel.count }
 
 // refreshNext recomputes the cached earliest event.
 func (c *Clock) refreshNext() {
-	if c.sched == SchedHeap {
-		if len(c.events) == 0 {
-			c.nextEvent = nil
-		} else {
-			c.nextEvent = c.events[0]
-		}
-	} else {
-		c.nextEvent = c.wheel.scanMin(c.now)
-	}
+	c.nextEvent = c.wheel.scanMin(c.now)
 	c.nextValid = true
 }
 
@@ -557,11 +429,7 @@ func (c *Clock) popNext() *Event {
 	if e == nil {
 		return nil
 	}
-	if c.sched == SchedHeap {
-		heap.Pop(&c.events) // the cached minimum is the root
-	} else {
-		c.wheel.unlink(e)
-	}
+	c.wheel.unlink(e)
 	c.nextValid, c.nextEvent = false, nil
 	return e
 }
@@ -577,9 +445,7 @@ func (c *Clock) RunUntil(t Time) {
 		panic(fmt.Sprintf("simtime: RunUntil %v before now %v", t, c.now))
 	}
 	if c.dispatching {
-		if c.sched == SchedWheel {
-			c.strandOverdue(t)
-		}
+		c.strandOverdue(t)
 		c.now = t
 		return
 	}

@@ -3,44 +3,163 @@ package simtime
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 )
 
-// runBoth runs the same scripted scenario against a wheel clock and a heap
-// clock and fails if their observable traces differ. The scenario callback
-// receives the clock and an emit function for recording observations.
-func runBoth(t *testing.T, name string, scenario func(c *Clock, emit func(string))) {
-	t.Helper()
-	traces := make(map[Scheduler][]string)
-	for _, sched := range []Scheduler{SchedWheel, SchedHeap} {
-		c := NewClockSched(sched)
-		var trace []string
-		scenario(c, func(s string) { trace = append(trace, s) })
-		traces[sched] = trace
+// refClock is the reference the wheel is held to: the same Clock contract
+// over a slice kept sorted by (when, seq). Handles are never recycled, so
+// Cancel on a fired handle is simply false.
+type refClock struct {
+	now         Time
+	events      []*refEvent
+	dispatching bool
+}
+
+type refEvent struct {
+	when Time
+	fn   func(now Time)
+	done bool // fired or cancelled
+}
+
+func (c *refClock) Now() Time    { return c.now }
+func (c *refClock) Pending() int { return len(c.events) }
+
+func (c *refClock) At(t Time, fn func(now Time)) any {
+	e := &refEvent{when: t, fn: fn}
+	// Filing after every event with when <= t is FIFO.
+	i := sort.Search(len(c.events), func(i int) bool { return c.events[i].when > t })
+	c.events = slices.Insert(c.events, i, e)
+	return e
+}
+
+func (c *refClock) After(d Duration, fn func(now Time)) any { return c.At(c.now.Add(d), fn) }
+
+func (c *refClock) Cancel(h any) bool {
+	e := h.(*refEvent)
+	if e.done {
+		return false
 	}
-	w, h := traces[SchedWheel], traces[SchedHeap]
-	if len(w) != len(h) {
-		t.Fatalf("%s: wheel trace has %d entries, heap %d", name, len(w), len(h))
+	e.done = true
+	i := slices.Index(c.events, e)
+	c.events = slices.Delete(c.events, i, i+1)
+	return true
+}
+
+func (c *refClock) PeekNext() (Time, bool) {
+	if len(c.events) == 0 {
+		return 0, false
+	}
+	return c.events[0].when, true
+}
+
+// fireNext pops and fires the earliest event; a nested advance inside an
+// earlier callback may already have moved the clock past it.
+func (c *refClock) fireNext() {
+	e := c.events[0]
+	c.events = c.events[1:]
+	e.done = true
+	if e.when > c.now {
+		c.now = e.when
+	}
+	e.fn(c.now)
+}
+
+func (c *refClock) Advance(d Duration) {
+	t := c.now.Add(d)
+	if c.dispatching { // nested: only the clock moves
+		c.now = t
+		return
+	}
+	c.dispatching = true
+	for len(c.events) > 0 && c.events[0].when <= t {
+		c.fireNext()
+	}
+	c.dispatching = false
+	if t > c.now {
+		c.now = t
+	}
+}
+
+func (c *refClock) Sleep(d Duration) { c.Advance(d) }
+
+func (c *refClock) RunNext() bool {
+	if len(c.events) == 0 {
+		return false
+	}
+	c.dispatching = true
+	c.fireNext()
+	c.dispatching = false
+	return true
+}
+
+func (c *refClock) Drain(limit int) int {
+	fired := 0
+	for c.RunNext() {
+		fired++
+		if limit > 0 && fired >= limit {
+			break
+		}
+	}
+	return fired
+}
+
+// scriptClock is what the differential scripts drive: the Clock API with
+// opaque event handles, so one script runs against both implementations.
+type scriptClock interface {
+	Now() Time
+	Pending() int
+	At(t Time, fn func(now Time)) any
+	After(d Duration, fn func(now Time)) any
+	Cancel(h any) bool
+	PeekNext() (Time, bool)
+	Advance(d Duration)
+	Sleep(d Duration)
+	RunNext() bool
+	Drain(limit int) int
+}
+
+// wheelClock adapts Clock's *Event handles to scriptClock.
+type wheelClock struct{ *Clock }
+
+func (w wheelClock) At(t Time, fn func(now Time)) any        { return w.Clock.At(t, fn) }
+func (w wheelClock) After(d Duration, fn func(now Time)) any { return w.Clock.After(d, fn) }
+func (w wheelClock) Cancel(h any) bool                       { return w.Clock.Cancel(h.(*Event)) }
+
+// runBoth runs the same scripted scenario against the wheel Clock and the
+// reference clock and fails if their observable traces differ. The scenario
+// callback receives the clock and an emit function for recording
+// observations.
+func runBoth(t *testing.T, name string, scenario func(c scriptClock, emit func(string))) {
+	t.Helper()
+	run := func(c scriptClock) (trace []string) {
+		scenario(c, func(s string) { trace = append(trace, s) })
+		return trace
+	}
+	w, r := run(wheelClock{NewClock()}), run(&refClock{})
+	if len(w) != len(r) {
+		t.Fatalf("%s: wheel trace has %d entries, reference %d", name, len(w), len(r))
 	}
 	for i := range w {
-		if w[i] != h[i] {
-			t.Fatalf("%s: trace diverges at %d:\n  wheel: %s\n  heap:  %s", name, i, w[i], h[i])
+		if w[i] != r[i] {
+			t.Fatalf("%s: trace diverges at %d:\n  wheel:     %s\n  reference: %s", name, i, w[i], r[i])
 		}
 	}
 }
 
-// TestWheelHeapDifferentialRandom drives both schedulers through identical
-// random schedule/cancel/advance/drain sequences and requires identical
+// TestWheelHeapDifferentialRandom drives the wheel and the reference clock
+// through identical random schedule/cancel/advance/drain sequences and requires identical
 // firing traces — timestamps, FIFO order among equal timestamps, pending
 // counts, and clock positions.
 func TestWheelHeapDifferentialRandom(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			runBoth(t, "random", func(c *Clock, emit func(string)) {
+			runBoth(t, "random", func(c scriptClock, emit func(string)) {
 				rng := rand.New(rand.NewSource(seed))
-				var live []*Event
+				var live []any
 				id := 0
 				for op := 0; op < 400; op++ {
 					switch rng.Intn(10) {
@@ -90,10 +209,9 @@ func TestWheelHeapDifferentialRandom(t *testing.T) {
 
 // TestWheelHeapDifferentialNestedAdvance exercises the pastDue machinery:
 // a callback performs a nested advance that jumps the clock past pending
-// events, which must still fire afterwards in (when, seq) order on both
-// backends.
+// events, which must still fire afterwards in (when, seq) order.
 func TestWheelHeapDifferentialNestedAdvance(t *testing.T) {
-	runBoth(t, "nested", func(c *Clock, emit func(string)) {
+	runBoth(t, "nested", func(c scriptClock, emit func(string)) {
 		for i, d := range []Duration{5, 10, 15, 70, 200, 1 << 30} {
 			i := i
 			c.After(d, func(now Time) { emit(fmt.Sprintf("fire %d at %v", i, now)) })
@@ -113,11 +231,11 @@ func TestWheelHeapDifferentialNestedAdvance(t *testing.T) {
 	})
 }
 
-// TestWheelHeapDifferentialEqualTimestamps pins FIFO tie-breaking across
-// backends when many events share deadlines, including events scheduled at
+// TestWheelHeapDifferentialEqualTimestamps pins FIFO tie-breaking against
+// the reference when many events share deadlines, including events scheduled at
 // the current instant.
 func TestWheelHeapDifferentialEqualTimestamps(t *testing.T) {
-	runBoth(t, "ties", func(c *Clock, emit func(string)) {
+	runBoth(t, "ties", func(c scriptClock, emit func(string)) {
 		for i := 0; i < 8; i++ {
 			i := i
 			c.After(100, func(now Time) { emit(fmt.Sprintf("a%d %v", i, now)) })
@@ -130,7 +248,7 @@ func TestWheelHeapDifferentialEqualTimestamps(t *testing.T) {
 }
 
 func TestWheelOverflowEventsFire(t *testing.T) {
-	c := NewClockSched(SchedWheel)
+	c := NewClock()
 	const far = Duration(1) << 52 // beyond the 64^8 ns horizon
 	fired := false
 	c.After(far, func(now Time) { fired = true })
@@ -146,28 +264,26 @@ func TestWheelOverflowEventsFire(t *testing.T) {
 
 // TestCancelledEventsAreRecycled pins the satellite fix for event
 // retention: cancelled timers must return to the freelist (not stay
-// pinned by heap slices or wheel slots), and the freelist must actually be
-// reused by subsequent schedules.
+// pinned by wheel slots), and the freelist must actually be reused by
+// subsequent schedules.
 func TestCancelledEventsAreRecycled(t *testing.T) {
-	for _, sched := range []Scheduler{SchedWheel, SchedHeap} {
-		c := NewClockSched(sched)
-		evs := make([]*Event, 100)
-		for i := range evs {
-			evs[i] = c.After(Duration(i+1), func(Time) {})
-		}
-		for _, e := range evs {
-			c.Cancel(e)
-		}
-		if got := c.FreelistLen(); got != 100 {
-			t.Fatalf("%v: FreelistLen after 100 cancels = %d, want 100", sched, got)
-		}
-		e := c.After(1, func(Time) {})
-		if got := c.FreelistLen(); got != 99 {
-			t.Fatalf("%v: FreelistLen after reuse = %d, want 99", sched, got)
-		}
-		if e != evs[99] {
-			t.Fatalf("%v: schedule did not reuse the freelist head", sched)
-		}
+	c := NewClock()
+	evs := make([]*Event, 100)
+	for i := range evs {
+		evs[i] = c.After(Duration(i+1), func(Time) {})
+	}
+	for _, e := range evs {
+		c.Cancel(e)
+	}
+	if got := c.FreelistLen(); got != 100 {
+		t.Fatalf("FreelistLen after 100 cancels = %d, want 100", got)
+	}
+	e := c.After(1, func(Time) {})
+	if got := c.FreelistLen(); got != 99 {
+		t.Fatalf("FreelistLen after reuse = %d, want 99", got)
+	}
+	if e != evs[99] {
+		t.Fatal("schedule did not reuse the freelist head")
 	}
 }
 
@@ -177,25 +293,23 @@ func TestCancelledEventsAreRecycled(t *testing.T) {
 // is hoisted outside the loop — closures capturing loop state would
 // allocate in the caller, not the clock.
 func TestSteadyStateTimerLoopDoesNotAllocate(t *testing.T) {
-	for _, sched := range []Scheduler{SchedWheel, SchedHeap} {
-		c := NewClockSched(sched)
-		fired := 0
-		fn := func(Time) { fired++ }
-		c.After(1, fn)
-		c.Advance(1) // prime the freelist
-		avg := testing.AllocsPerRun(1000, func() {
-			c.After(7, fn)
-			c.Advance(7)
-		})
-		if avg != 0 {
-			t.Fatalf("%v: schedule/fire cycle allocates %.1f/op, want 0", sched, avg)
-		}
-		avg = testing.AllocsPerRun(1000, func() {
-			c.Cancel(c.After(1<<40, fn))
-		})
-		if avg != 0 {
-			t.Fatalf("%v: schedule/cancel cycle allocates %.1f/op, want 0", sched, avg)
-		}
+	c := NewClock()
+	fired := 0
+	fn := func(Time) { fired++ }
+	c.After(1, fn)
+	c.Advance(1) // prime the freelist
+	avg := testing.AllocsPerRun(1000, func() {
+		c.After(7, fn)
+		c.Advance(7)
+	})
+	if avg != 0 {
+		t.Fatalf("schedule/fire cycle allocates %.1f/op, want 0", avg)
+	}
+	avg = testing.AllocsPerRun(1000, func() {
+		c.Cancel(c.After(1<<40, fn))
+	})
+	if avg != 0 {
+		t.Fatalf("schedule/cancel cycle allocates %.1f/op, want 0", avg)
 	}
 }
 
@@ -210,82 +324,29 @@ func TestFreelistIsBounded(t *testing.T) {
 	}
 }
 
-// TestHeapPopClearsSlot guards the retention fix on the reference backend:
-// firing all events must leave no *Event pointers behind in the heap
-// slice's spare capacity.
-func TestHeapPopClearsSlot(t *testing.T) {
-	c := NewClockSched(SchedHeap)
-	for i := 0; i < 32; i++ {
-		c.After(Duration(i+1), func(Time) {})
-	}
-	c.Advance(100)
-	spare := c.events[:cap(c.events)]
-	for i, e := range spare {
-		if e != nil {
-			t.Fatalf("heap slice slot %d still holds an event after drain", i)
-		}
-	}
-}
-
-func TestSchedulerByName(t *testing.T) {
-	if s, ok := SchedulerByName("heap"); !ok || s != SchedHeap {
-		t.Fatal("heap")
-	}
-	if s, ok := SchedulerByName("wheel"); !ok || s != SchedWheel {
-		t.Fatal("wheel")
-	}
-	if _, ok := SchedulerByName("bogus"); ok {
-		t.Fatal("bogus accepted")
-	}
-	if SchedWheel.String() != "wheel" || SchedHeap.String() != "heap" {
-		t.Fatal("String")
-	}
-}
-
-func TestDefaultSchedulerSwitch(t *testing.T) {
-	old := DefaultScheduler()
-	defer SetDefaultScheduler(old)
-	SetDefaultScheduler(SchedHeap)
-	if NewClock().SchedulerKind() != SchedHeap {
-		t.Fatal("NewClock ignored default heap")
-	}
-	SetDefaultScheduler(SchedWheel)
-	if NewClock().SchedulerKind() != SchedWheel {
-		t.Fatal("NewClock ignored default wheel")
-	}
-}
-
 func BenchmarkSchedulerScheduleFire(b *testing.B) {
-	for _, sched := range []Scheduler{SchedWheel, SchedHeap} {
-		b.Run(sched.String(), func(b *testing.B) {
-			c := NewClockSched(sched)
-			fn := func(Time) {}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				c.After(100*time.Microsecond, fn)
-				c.Advance(100 * time.Microsecond)
-			}
-		})
+	c := NewClock()
+	fn := func(Time) {}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.After(100*time.Microsecond, fn)
+		c.Advance(100 * time.Microsecond)
 	}
 }
 
 // BenchmarkSchedulerPendingSet measures schedule/fire with a standing set
 // of outstanding timers (the multi-container steady state).
 func BenchmarkSchedulerPendingSet(b *testing.B) {
-	for _, sched := range []Scheduler{SchedWheel, SchedHeap} {
-		b.Run(sched.String(), func(b *testing.B) {
-			c := NewClockSched(sched)
-			fn := func(Time) {}
-			for i := 0; i < 256; i++ {
-				c.After(Duration(1+i)*time.Millisecond, fn)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				c.After(50*time.Microsecond, fn)
-				c.Advance(50 * time.Microsecond)
-			}
-		})
+	c := NewClock()
+	fn := func(Time) {}
+	for i := 0; i < 256; i++ {
+		c.After(Duration(1+i)*time.Millisecond, fn)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.After(50*time.Microsecond, fn)
+		c.Advance(50 * time.Microsecond)
 	}
 }

@@ -6,9 +6,14 @@ package hipec_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"math"
+	"strconv"
+	"sync/atomic"
 	"testing"
 
 	"hipec"
+	"hipec/internal/substrate"
 )
 
 // One workload, two transports: the in-process Loop and the network client
@@ -79,4 +84,128 @@ func TestClientSeamBothTransports(t *testing.T) {
 		defer c.Close()
 		run(t, c)
 	})
+}
+
+// brokenStore forwards to a memory store until armed; from then on every
+// ReadPage fails with ErrDiskIO and is counted, so a test can read off how
+// many page-in attempts one fault made.
+type brokenStore struct {
+	hipec.Store
+	armed atomic.Bool
+	reads atomic.Int64
+}
+
+func (s *brokenStore) ReadPage(key substrate.PageKey) ([]byte, bool, error) {
+	if s.armed.Load() {
+		s.reads.Add(1)
+		return nil, true, fmt.Errorf("broken store: %w", hipec.ErrDiskIO)
+	}
+	return s.Store.ReadPage(key)
+}
+
+// TestOpenOptionParity: the same Open arguments must mean the same thing
+// in-process and over the wire. The retry budget is observed as page-in
+// attempts against a store that has started failing; a non-positive budget
+// is "kernel default" on both transports, never a 32-bit wraparound.
+func TestOpenOptionParity(t *testing.T) {
+	const frames, pages = 16, 64
+	cases := []struct {
+		name     string
+		pages    int
+		opts     []hipec.RegionOption
+		wantErr  error // from Open
+		attempts int64 // page-in attempts per failing fault
+	}{
+		{"default budget", pages, nil, nil, 3},
+		{"zero budget is the default", pages, []hipec.RegionOption{hipec.WithRegionRetryBudget(0)}, nil, 3},
+		{"negative budget is the default", pages, []hipec.RegionOption{hipec.WithRegionRetryBudget(-1)}, nil, 3},
+		{"explicit budget", pages, []hipec.RegionOption{hipec.WithRegionRetryBudget(2)}, nil, 2},
+		{"zero pages", 0, nil, hipec.ErrBadRequest, 0},
+		{"negative pages", -1, nil, hipec.ErrBadRequest, 0},
+	}
+	transports := []struct {
+		name string
+		dial func(t *testing.T, store hipec.Store) hipec.Client
+	}{
+		{"in-process", func(t *testing.T, store hipec.Store) hipec.Client {
+			return hipec.NewClient(hipec.New(hipec.Config{
+				Frames: frames, PageSize: 4096, BurstFraction: 0.5,
+				Substrate: hipec.SubstrateConfig{Kind: hipec.SubstrateReal, Store: store},
+			}))
+		}},
+		{"networked", func(t *testing.T, store hipec.Store) hipec.Client {
+			srv, err := hipec.Serve("127.0.0.1:0", store, hipec.WithFrames(frames))
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(srv.Close)
+			c, err := hipec.Dial(srv.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c
+		}},
+	}
+	for _, tc := range cases {
+		for _, tr := range transports {
+			t.Run(tc.name+"/"+tr.name, func(t *testing.T) {
+				mem, err := hipec.OpenStore("mem", "", 4096)
+				if err != nil {
+					t.Fatal(err)
+				}
+				store := &brokenStore{Store: mem}
+				c := tr.dial(t, store)
+				defer c.Close()
+
+				r, err := c.Open(tc.pages, tc.opts...)
+				if !errors.Is(err, tc.wantErr) {
+					t.Fatalf("Open(%d) = %v, want %v", tc.pages, err, tc.wantErr)
+				}
+				if tc.wantErr != nil {
+					return
+				}
+				// Dirty four pools' worth of pages so the early ones are
+				// paged out, then break the store and fault one back in.
+				for p := 0; p < tc.pages; p++ {
+					if err := c.WritePage(r, p, []byte{byte(p)}); err != nil {
+						t.Fatalf("write %d: %v", p, err)
+					}
+				}
+				store.armed.Store(true)
+				if err := c.TouchPage(r, 0); !errors.Is(err, hipec.ErrDiskIO) {
+					t.Fatalf("touch on a broken store = %v, want ErrDiskIO", err)
+				}
+				if got := store.reads.Load(); got != tc.attempts {
+					t.Fatalf("page-in attempts = %d, want %d", got, tc.attempts)
+				}
+			})
+		}
+	}
+}
+
+// The network client cannot express a region larger than the wire's 32-bit
+// page count; it must say so rather than truncate.
+func TestDialOpenRejectsOversizeRegion(t *testing.T) {
+	if strconv.IntSize < 64 {
+		t.Skip("int cannot exceed the wire's page count on this platform")
+	}
+	store, err := hipec.OpenStore("mem", "", 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := hipec.Serve("127.0.0.1:0", store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := hipec.Dial(srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	pages := int64(math.MaxUint32) + 2 // truncates to 1 page
+	huge := int(pages)
+	if _, err := c.Open(huge); !errors.Is(err, hipec.ErrBadRequest) {
+		t.Fatalf("Open(%d) = %v, want ErrBadRequest", huge, err)
+	}
 }
