@@ -10,8 +10,10 @@
 //	experiments -j 4            # fan sweep cells out over 4 workers
 //	experiments -bench-json BENCH_0001.json   # write host perf numbers
 //	experiments -event-log run.kevlog         # capture the smoke workload's
-//	                                          # kernel event stream (see
-//	                                          # cmd/replaydiff)
+//	                                          # kernel event stream
+//	experiments replaydiff A.kevlog B.kevlog  # first divergent event of two logs
+//	experiments benchguard -old BENCH_0004.json -new bench.json
+//	                                          # gate a -bench-json report
 //	experiments -chaos seed=3           # seeded fault-injection soak with
 //	                                    # invariant checks; add -event-log
 //	                                    # to capture its event stream
@@ -34,6 +36,14 @@ import (
 )
 
 func main() {
+	if len(os.Args) > 1 {
+		switch os.Args[1] {
+		case "replaydiff":
+			os.Exit(replaydiff(os.Args[2:], os.Stdout, os.Stderr))
+		case "benchguard":
+			os.Exit(benchguard(os.Args[2:], os.Stdout, os.Stderr))
+		}
+	}
 	var (
 		run       = flag.String("run", "all", "which experiment: all, table3, table4, figure5, figure6, ablation")
 		scale     = flag.Int64("scale", 1, "divide figure6 sizes by this factor for quick runs")
@@ -42,36 +52,14 @@ func main() {
 		jobs      = flag.Int("jobs", 6, "jobs per user for figure5")
 		workers   = flag.Int("j", 0, "sweep worker count (0 = GOMAXPROCS); output is identical at any -j")
 		benchJSON = flag.String("bench-json", "", "measure host performance (sweep cells/sec, executor ns/command, allocs) and write the JSON report to this file")
-		eventLog  = flag.String("event-log", "", "run the deterministic smoke workload and write its kernel event log to this file (diff two runs with cmd/replaydiff)")
+		eventLog  = flag.String("event-log", "", "run the deterministic smoke workload and write its kernel event log to this file (diff two runs with experiments replaydiff)")
 		chaos     = flag.String("chaos", "", "run the seeded chaos soak (fault injection + graceful degradation): \"seed=N\" or a bare seed number")
 		shards    = flag.Int("shards", 0, "run N independent kernels on N goroutines (the sharded scale harness) and print merged metrics; with -event-log, capture shard 0's stream")
 		shardSeed = flag.Uint64("shard-seed", 0, "master seed for the sharded harness's per-shard scatter phases (0 = every shard runs the canonical workload)")
 		shardSer  = flag.Bool("shard-serial", false, "run the shards sequentially on one goroutine (results are identical; only wall time changes)")
-		substr    = flag.String("substrate", "sim", "substrate: sim (deterministic virtual time) or real (wall clock, real page store, concurrent clients)")
-		storeKind = flag.String("store", "file", "real-substrate store backend: file, mem, tiered, sharded, mmap")
 	)
 	flag.Parse()
 	bench.SetParallelism(*workers)
-
-	if *substr != "" && *substr != "sim" {
-		if *substr != "real" {
-			fmt.Fprintf(os.Stderr, "substrate: unknown substrate %q (want sim or real)\n", *substr)
-			os.Exit(1)
-		}
-		cfg := bench.DefaultRealtime()
-		cfg.StoreKind = *storeKind
-		if *quick {
-			cfg.PagesPerClient = 16
-			cfg.Rounds = 2
-		}
-		res, err := bench.RunRealtime(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "substrate: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Print(res.Format())
-		return
-	}
 
 	if *shards > 0 {
 		cfg := bench.ShardedConfig{

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -77,5 +79,23 @@ func TestWriteBinaryRoundTrip(t *testing.T) {
 	}
 	if len(events) != len(spec.Events) {
 		t.Fatalf("events = %d, want %d", len(events), len(spec.Events))
+	}
+}
+
+// TestCompileRejectsActivateCycle: compile always verifies, so a source
+// the in-kernel checker would reject fails the compile and leaves no -o
+// file behind.
+func TestCompileRejectsActivateCycle(t *testing.T) {
+	src := writeTemp(t, "cycle.hpl", []byte(cycleSource))
+	out := filepath.Join(t.TempDir(), "cycle.bin")
+	var stderr bytes.Buffer
+	if rc := compile([]string{"-o", out, src}, io.Discard, &stderr); rc == 0 {
+		t.Fatalf("compile accepted an Activate cycle\n%s", &stderr)
+	}
+	if !strings.Contains(stderr.String(), "activate-cycle") {
+		t.Fatalf("rejection does not name the cycle:\n%s", &stderr)
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Fatalf("rejected compile left %s behind (stat err %v)", out, err)
 	}
 }

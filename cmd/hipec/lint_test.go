@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -50,7 +51,7 @@ func writeTemp(t *testing.T, name string, data []byte) string {
 
 func TestLintSourceClean(t *testing.T) {
 	path := writeTemp(t, "clean.hpl", []byte(cleanSource))
-	diags, err := lintFile(path, 64, true)
+	diags, err := lintPolicy("", path, 64, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestLintSourceClean(t *testing.T) {
 
 func TestLintSourceCycle(t *testing.T) {
 	path := writeTemp(t, "cycle.hpl", []byte(cycleSource))
-	diags, err := lintFile(path, 64, true)
+	diags, err := lintPolicy("", path, 64, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestLintSourceCycle(t *testing.T) {
 	}
 }
 
-// TestLintBinaryRoundTrip: a canned policy encoded with hipecc's binary
+// TestLintBinaryRoundTrip: a canned policy encoded in the binary
 // container must lint clean in kind-inference mode.
 func TestLintBinaryRoundTrip(t *testing.T) {
 	spec, err := policies.ByName("fifo2", 16)
@@ -88,7 +89,7 @@ func TestLintBinaryRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := writeTemp(t, "fifo2.hpb", buf.Bytes())
-	diags, err := lintFile(path, 64, true)
+	diags, err := lintPolicy("", path, 64, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,11 +98,22 @@ func TestLintBinaryRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLintBinarySniff: garbage that is not a hipecc container must be
+// TestLintBinarySniff: garbage that is not a policy container must be
 // treated as (unparseable) source, not crash the binary decoder.
 func TestLintBinarySniff(t *testing.T) {
 	path := writeTemp(t, "garbage.hpl", []byte("not a policy"))
-	if _, err := lintFile(path, 64, true); err == nil {
+	if _, err := lintPolicy("", path, 64, true); err == nil {
 		t.Fatal("garbage source must fail to translate")
+	}
+}
+
+// TestLintBuiltinsClean: every canned policy the README lists passes the
+// verifier through the same entry point CI uses.
+func TestLintBuiltinsClean(t *testing.T) {
+	for _, p := range []string{"fifo", "lru", "mru", "fifo2", "sequential"} {
+		var stderr bytes.Buffer
+		if rc := lint([]string{"-builtin", p}, io.Discard, &stderr); rc != 0 {
+			t.Errorf("hipec lint -builtin %s: exit %d\n%s", p, rc, &stderr)
+		}
 	}
 }

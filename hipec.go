@@ -176,7 +176,7 @@ type (
 )
 
 var (
-	// NewEventLogWriter builds a streaming event-log sink (see cmd/replaydiff).
+	// NewEventLogWriter builds a streaming event-log sink (see experiments replaydiff).
 	NewEventLogWriter = kevent.NewLogWriter
 	// ReadEventLog parses a serialized event log.
 	ReadEventLog = kevent.ReadLog

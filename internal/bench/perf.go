@@ -48,14 +48,10 @@ type PerfReport struct {
 	SpineEventsCounted        int64   `json:"spine_events_counted"`
 
 	// Data plane: the resident-hit fast path (translate + page-table
-	// probe, no policy activation) under the flat page-indexed table
-	// versus the map-backed reference mode it replaced
-	// (vm.System.ForceSparseObjects). The improvement percentage is the
-	// flat table's win over the map on this host; allocs must be zero.
-	ResidentHitNsFlat         float64 `json:"resident_hit_ns_flat"`
-	ResidentHitNsSparse       float64 `json:"resident_hit_ns_sparse"`
-	ResidentHitImprovementPct float64 `json:"resident_hit_improvement_pct"`
-	ResidentHitAllocsPerOp    float64 `json:"resident_hit_allocs_per_op"`
+	// probe, no policy activation) on the flat page-indexed table;
+	// allocs must be zero.
+	ResidentHitNsFlat      float64 `json:"resident_hit_ns_flat"`
+	ResidentHitAllocsPerOp float64 `json:"resident_hit_allocs_per_op"`
 
 	// Sharded multi-kernel scale: GOMAXPROCS independent kernels run to
 	// completion on as many goroutines, each a full simulated machine on
@@ -123,12 +119,10 @@ func MeasurePerf() (PerfReport, error) {
 }
 
 // residentHitLoop times the resident-hit path — the most common memory
-// operation the simulator models — on a system in the given page-table
-// mode, and reports ns/op and allocs/op.
-func residentHitLoop(forceSparse bool) (nsPerOp, allocsPerOp float64, err error) {
+// operation the simulator models — and reports ns/op and allocs/op.
+func residentHitLoop() (nsPerOp, allocsPerOp float64, err error) {
 	clock := substrate.NewSimClock()
 	sys := vm.NewSystem(clock, vm.Config{Frames: 2048, PageSize: 4096})
-	sys.ForceSparseObjects = forceSparse
 	d := pageout.New(sys, pageout.Targets{})
 	sys.SetDefaultPolicy(d)
 	sp := sys.NewSpace()
@@ -163,34 +157,17 @@ func residentHitLoop(forceSparse bool) (nsPerOp, allocsPerOp float64, err error)
 		float64(after.Mallocs-before.Mallocs) / iters, nil
 }
 
-// measureResidentHit compares the flat page table against the map-backed
-// reference mode on the resident-hit path, best-of-reps per mode with the
-// modes interleaved so frequency drift cancels.
+// measureResidentHit reports the resident-hit path, best-of-reps.
 func measureResidentHit(r *PerfReport) error {
 	const reps = 5
-	flat, sparse := 0.0, 0.0
-	var flatAllocs float64
 	for i := 0; i < reps; i++ {
-		f, fa, err := residentHitLoop(false)
+		ns, allocs, err := residentHitLoop()
 		if err != nil {
 			return err
 		}
-		s, _, err := residentHitLoop(true)
-		if err != nil {
-			return err
+		if i == 0 || ns < r.ResidentHitNsFlat {
+			r.ResidentHitNsFlat, r.ResidentHitAllocsPerOp = ns, allocs
 		}
-		if flat == 0 || f < flat {
-			flat, flatAllocs = f, fa
-		}
-		if sparse == 0 || s < sparse {
-			sparse = s
-		}
-	}
-	r.ResidentHitNsFlat = flat
-	r.ResidentHitNsSparse = sparse
-	r.ResidentHitAllocsPerOp = flatAllocs
-	if sparse > 0 {
-		r.ResidentHitImprovementPct = 100 * (sparse - flat) / sparse
 	}
 	return nil
 }

@@ -89,7 +89,7 @@ func RunSpineSmoke(cfg SpineSmokeConfig, sinks ...kevent.Sink) (*core.Kernel, er
 // CaptureEventLog runs the spine smoke workload with a streaming event-log
 // sink attached to the kernel spine and serializes every event to w. It
 // reports the number of events captured. Two runs with the same quick flag
-// produce byte-identical logs (cmd/replaydiff verifies this in CI).
+// produce byte-identical logs (experiments replaydiff verifies this in CI).
 func CaptureEventLog(w io.Writer, quick bool) (int64, error) {
 	cfg := DefaultSpineSmoke()
 	if quick {

@@ -43,12 +43,12 @@ type Checker struct {
 	// DeepSweep additionally validates queue structure on every wakeup
 	// (§6 future work #3: "the security checker could do more").
 	DeepSweep bool
-	// AllowUnbounded downgrades the verifier's boundedness errors
-	// (infinite-loop, stuck-loop, frame-leak) to warnings, accepting
-	// specs whose termination only the watchdog timeout can enforce.
-	// Intended for watchdog tests and experiments; the verifier's kind
-	// and flow errors still reject.
-	AllowUnbounded bool
+	// allowUnbounded is a test hook, set only by this package's watchdog
+	// tests: it downgrades the verifier's boundedness errors
+	// (infinite-loop, stuck-loop, frame-leak) to warnings, admitting
+	// specs whose termination only the watchdog timeout can enforce. The
+	// verifier's kind and flow errors still reject.
+	allowUnbounded bool
 
 	started bool
 	stopped bool
@@ -145,7 +145,7 @@ func (ck *Checker) ValidateSpec(c *Container) []error {
 	var errs []error
 	for i := range diags {
 		d := &diags[i]
-		if ck.AllowUnbounded && d.Severity == verify.SevError && boundednessCode(d.Code) {
+		if ck.allowUnbounded && d.Severity == verify.SevError && boundednessCode(d.Code) {
 			d.Severity = verify.SevWarning
 		}
 		ck.kernel.emit(kevent.Event{
@@ -166,7 +166,7 @@ func (ck *Checker) ValidateSpec(c *Container) []error {
 }
 
 // boundednessCode reports whether a diagnostic code is a termination
-// argument (the class AllowUnbounded waives) rather than a safety one.
+// argument (the class allowUnbounded waives) rather than a safety one.
 func boundednessCode(code verify.Code) bool {
 	switch code {
 	case verify.CodeInfiniteLoop, verify.CodeStuckLoop, verify.CodeFrameLeak:

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"hipec/internal/hiperr"
 	"hipec/internal/vm"
@@ -266,8 +267,14 @@ func (s *CacheSession) FreeAll(k *Kernel) {
 
 func (s *CacheSession) release(k *Kernel, reg *cacheRegion) {
 	_ = reg.space.Unmap(reg.entry)
-	if reg.container != nil {
-		k.DestroyContainer(reg.container)
+	if c := reg.container; c != nil {
+		k.DestroyContainer(c)
+		// A daemon opens and frees regions for as long as it runs, so the
+		// corpse (19 KB of operand slots) must not stay in the kernel's
+		// inspection list the way a sim run's destroyed containers do.
+		if i := slices.Index(k.containers, c); i >= 0 {
+			k.containers = slices.Delete(k.containers, i, i+1)
+		}
 		return
 	}
 	if obj := k.VM.Object(reg.entry.Object.ID); obj != nil {

@@ -453,7 +453,7 @@ func TestWatchdogKillsRunawayPolicy(t *testing.T) {
 	k := testKernel(64)
 	// The verifier statically proves this loop infinite; the watchdog
 	// test needs it to load anyway.
-	k.Checker.AllowUnbounded = true
+	k.Checker.allowUnbounded = true
 	k.Checker.TimeOut = 10 * time.Millisecond
 	k.Checker.WakeUp = 20 * time.Millisecond // first wakeup lands mid-execution
 	k.Checker.Start()
@@ -508,7 +508,7 @@ func TestMaxStepsBackstop(t *testing.T) {
 	k := testKernel(64)
 	// The verifier statically proves this loop infinite; the watchdog
 	// test needs it to load anyway.
-	k.Checker.AllowUnbounded = true
+	k.Checker.allowUnbounded = true
 	k.Executor.Costs = ExecCosts{} // zero cost: clock never advances
 	k.Executor.MaxSteps = 1000
 	sp := k.NewSpace()

@@ -282,7 +282,7 @@ func TestCheckerAdaptiveHalving(t *testing.T) {
 	k := testKernel(64)
 	// The verifier statically proves this loop infinite; the watchdog
 	// test needs it to load anyway.
-	k.Checker.AllowUnbounded = true
+	k.Checker.allowUnbounded = true
 	ck := k.Checker
 	ck.TimeOut = time.Millisecond
 	ck.WakeUp = 4 * time.Second

@@ -63,7 +63,7 @@ func runawayKillTime(t *testing.T, quantum time.Duration) (int64, string) {
 	k := testKernel(64)
 	// The verifier statically proves this loop infinite; the watchdog
 	// test needs it to load anyway.
-	k.Checker.AllowUnbounded = true
+	k.Checker.allowUnbounded = true
 	k.Executor.FlushQuantum = quantum
 	k.Executor.MaxSteps = 1 << 30 // let the checker do the killing
 	k.Checker.TimeOut = 10 * time.Millisecond

@@ -81,7 +81,7 @@ type Kernel struct {
 
 	hipecDisabled bool
 	nextContainer int
-	containers    []*Container // every container ever created
+	containers    []*Container // every container created, less those a CacheSession freed
 }
 
 // Events returns the kernel's event spine (shared with the VM substrate);
@@ -311,6 +311,7 @@ func (k *Kernel) isResident(p *mem.Page) bool {
 	return obj != nil && obj.Resident(p.Offset) == p
 }
 
-// Containers returns every container ever created (including terminated and
-// destroyed ones) for inspection.
+// Containers returns every container created (including terminated and
+// destroyed ones) for inspection, except those whose region a CacheSession
+// has freed.
 func (k *Kernel) Containers() []*Container { return k.containers }

@@ -56,8 +56,8 @@ func buildUnit(c *Container) *verify.Unit {
 }
 
 // UnitForSpec builds a verifier unit from a bare spec, constructing (but
-// not registering) the container it would produce. Used by hipecc -analyze
-// and hipeclint, which verify policies outside any kernel.
+// not registering) the container it would produce. Used by cmd/hipec,
+// which verifies policies outside any kernel.
 func UnitForSpec(spec *Spec) (*verify.Unit, error) {
 	c, err := newContainer(nil, 0, nil, spec)
 	if err != nil {

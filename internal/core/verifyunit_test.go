@@ -170,7 +170,7 @@ func TestChecksRunOnVerifiedContainer(t *testing.T) {
 // infinite loops but keeps kind-safety rejections.
 func TestAllowUnboundedDowngrade(t *testing.T) {
 	k := testKernel(64)
-	k.Checker.AllowUnbounded = true
+	k.Checker.allowUnbounded = true
 	sp := k.NewSpace()
 	spec := simpleSpec(4)
 	spec.Events[EventPageFault] = NewProgram(
@@ -181,7 +181,7 @@ func TestAllowUnboundedDowngrade(t *testing.T) {
 	)
 	k.Executor.MaxSteps = 100 // terminate quickly if executed
 	if _, _, err := k.Allocate(sp, 4*4096, WithPolicy(spec)); err != nil {
-		t.Fatalf("AllowUnbounded must accept the infinite loop: %v", err)
+		t.Fatalf("allowUnbounded must accept the infinite loop: %v", err)
 	}
 
 	// Kind errors still reject.
@@ -191,7 +191,7 @@ func TestAllowUnboundedDowngrade(t *testing.T) {
 		Encode(OpReturn, SlotScratch, 0, 0),
 	)
 	if _, _, err := k.Allocate(k.NewSpace(), 4096, WithPolicy(bad)); err == nil {
-		t.Fatal("AllowUnbounded must not waive operand-kind errors")
+		t.Fatal("allowUnbounded must not waive operand-kind errors")
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 	"hipec/internal/core"
 )
 
-// Binary policy container format shared by hipecc and hipecdis:
+// Binary policy container format (written by hipec compile -o):
 //
 //	u32 magic "HPEC"
 //	u32 eventCount
@@ -18,8 +18,8 @@ import (
 // Absent events are encoded with wordCount 0.
 const binaryMagic = 0x48504543 // "HPEC"
 
-// BinaryMagic is the container magic, exported so tools (hipeclint) can
-// sniff whether a file is a hipecc binary or HPL source.
+// BinaryMagic is the container magic, exported so cmd/hipec can sniff
+// whether a file is a policy binary or HPL source.
 const BinaryMagic uint32 = binaryMagic
 
 // maxBinaryEvents bounds decoding (the Activate operand is 8 bits).
@@ -57,7 +57,7 @@ func EncodeBinary(w io.Writer, spec *core.Spec) error {
 	return nil
 }
 
-// DecodeBinaryBytes decodes an in-memory hipecc binary container.
+// DecodeBinaryBytes decodes an in-memory binary container.
 func DecodeBinaryBytes(data []byte) ([]core.Program, error) {
 	return DecodeBinary(bytes.NewReader(data))
 }
@@ -74,7 +74,7 @@ func DecodeBinary(r io.Reader) ([]core.Program, error) {
 		return nil, fmt.Errorf("hpl: reading magic: %w", err)
 	}
 	if magic != binaryMagic {
-		return nil, fmt.Errorf("hpl: bad magic %#08x (not a hipecc binary)", magic)
+		return nil, fmt.Errorf("hpl: bad magic %#08x (not a policy binary)", magic)
 	}
 	count, err := get()
 	if err != nil {

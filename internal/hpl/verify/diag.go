@@ -6,8 +6,8 @@ import (
 )
 
 // Severity ranks a diagnostic. Errors reject the program at registration;
-// warnings and infos are advisory (surfaced by hipeclint and hipecc
-// -analyze but never block loading).
+// warnings and infos are advisory (surfaced by hipec lint and hipec
+// compile but never block loading).
 type Severity uint8
 
 const (

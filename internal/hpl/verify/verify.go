@@ -4,9 +4,9 @@
 //
 // It works on compiled programs (isa.Program) plus a description of the
 // operand array, and needs no kernel objects, so the same pipeline serves
-// three layers: the hipecc compiler (-analyze), the hipeclint tool (source
-// and binary policies, inferring operand kinds for binaries), and the
-// in-kernel security checker at registration time.
+// three layers: hipec compile, hipec lint (source and binary policies,
+// inferring operand kinds for binaries), and the in-kernel security
+// checker at registration time.
 //
 // The passes, in order:
 //

@@ -2,7 +2,7 @@
 // to a line-oriented text format, and a reader that parses it back. Two
 // runs of the same deterministic workload produce byte-identical logs, so
 // regression checking can move from "diff the final report" to "find the
-// first kernel event where two runs diverge" (cmd/replaydiff).
+// first kernel event where two runs diverge" (experiments replaydiff).
 package kevent
 
 import (

@@ -6,7 +6,7 @@
 // Each constructor takes the container's minFrame (the private pool size
 // requested from the global frame manager) and returns a validated
 // core.Spec. Source accessors expose the HPL text for documentation and
-// the hipecc CLI.
+// the hipec CLI.
 package policies
 
 import (

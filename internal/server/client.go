@@ -285,12 +285,7 @@ func (c *Client) Stats() (core.CacheStats, error) {
 	if err != nil {
 		return core.CacheStats{}, err
 	}
-	return core.CacheStats{
-		Accesses: resp.Stats.Accesses, Hits: resp.Stats.Hits,
-		Faults: resp.Stats.Faults, PageIns: resp.Stats.PageIns,
-		ZeroFills: resp.Stats.ZeroFills, PageOuts: resp.Stats.PageOuts,
-		Evictions: resp.Stats.Evictions, StorePages: resp.Stats.StorePages,
-	}, nil
+	return core.CacheStats(resp.Stats), nil
 }
 
 // PageSize reports the server's page size (learned in the hello exchange).

@@ -370,12 +370,9 @@ func (s *Server) execute(k *core.Kernel, sess *core.CacheSession, req wire.Reque
 		}
 		return wire.AppendAck(dst, req.Seq)
 	case wire.OpStats:
-		cs := sess.Stats(k)
-		return wire.AppendStatsResp(dst, req.Seq, wire.Stats{
-			Accesses: cs.Accesses, Hits: cs.Hits, Faults: cs.Faults,
-			PageIns: cs.PageIns, ZeroFills: cs.ZeroFills, PageOuts: cs.PageOuts,
-			Evictions: cs.Evictions, StorePages: cs.StorePages,
-		})
+		// A conversion, not a field-by-field copy: a counter added to one
+		// struct and not the other fails the build.
+		return wire.AppendStatsResp(dst, req.Seq, wire.Stats(sess.Stats(k)))
 	}
 	return fail(fmt.Errorf("server: unhandled op %d: %w", req.Op, errUnhandled))
 }

@@ -58,7 +58,7 @@ func (g *greedyPolicy) Release(p *mem.Page) {
 func buildFuzzSystem(forceSparse bool) (*System, *traceSink) {
 	clock := simtime.NewClock()
 	s := NewSystem(substrate.Sim(clock), Config{Frames: 24, PageSize: 4096})
-	s.ForceSparseObjects = forceSparse
+	s.forceSparse = forceSparse
 	sink := &traceSink{}
 	s.Events.Attach(sink)
 	s.SetDefaultPolicy(&greedyPolicy{sys: s, queue: mem.NewQueue("fuzz")})
@@ -172,9 +172,9 @@ func TestFlatPmapModeSelection(t *testing.T) {
 	if o := s.NewObject((flatMaxPages+1)*4096, true); o.sparse == nil || o.flat != nil {
 		t.Fatal("oversized object did not fall back to sparse")
 	}
-	s.ForceSparseObjects = true
+	s.forceSparse = true
 	if o := s.NewObject(64*4096, true); o.sparse == nil {
-		t.Fatal("ForceSparseObjects ignored")
+		t.Fatal("forceSparse ignored")
 	}
 }
 
@@ -259,5 +259,42 @@ func TestFaultPathDoesNotAllocateFaultRecords(t *testing.T) {
 		i++
 	}); avg != 0 {
 		t.Fatalf("fault path allocates %.2f/op, want 0", avg)
+	}
+}
+
+// BenchmarkResidentHit compares the flat page table against the sparse
+// reference on the resident-hit path: 1024 resident pages touched in a
+// cycle, no policy activation.
+func BenchmarkResidentHit(b *testing.B) {
+	for _, mode := range []struct {
+		name   string
+		sparse bool
+	}{{"flat", false}, {"sparse", true}} {
+		b.Run(mode.name, func(b *testing.B) {
+			s := NewSystem(substrate.NewSimClock(), Config{Frames: 2048, PageSize: 4096})
+			s.forceSparse = mode.sparse
+			s.SetDefaultPolicy(&greedyPolicy{sys: s, queue: mem.NewQueue("bench")})
+			sp := s.NewSpace()
+			e, err := sp.Allocate(1024 * 4096)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for a := e.Start; a < e.End; a += 4096 {
+				if _, err := sp.Touch(a); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			a := e.Start
+			for i := 0; i < b.N; i++ {
+				if _, err := sp.Touch(a); err != nil {
+					b.Fatal(err)
+				}
+				if a += 4096; a >= e.End {
+					a = e.Start
+				}
+			}
+		})
 	}
 }

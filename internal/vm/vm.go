@@ -175,9 +175,8 @@ type Object struct {
 	// The resident-page table. Objects are contiguous, so the common case
 	// is the flat slice indexed by off>>pageShift — the fault path's
 	// resident lookup is then a shift and a bounds-checked load, no
-	// hashing. Objects beyond flatMaxPages (and every object when the
-	// system's ForceSparseObjects reference mode is on) use sparse
-	// instead; exactly one of flat/sparse is non-nil.
+	// hashing. Objects beyond flatMaxPages use sparse instead; exactly
+	// one of flat/sparse is non-nil.
 	flat      []*mem.Page
 	sparse    map[int64]*mem.Page
 	nres      int
@@ -206,7 +205,7 @@ func (o *Object) Resident(off int64) *mem.Page {
 		}
 		return nil
 	}
-	//hipec:vet-ignore mapinloop -- sparse fallback for objects past the flat-table limit (and ForceSparseObjects runs); the flat path above is the hot one
+	//hipec:vet-ignore mapinloop -- sparse fallback for objects past the flat-table limit (and the package tests' forceSparse runs); the flat path above is the hot one
 	return o.sparse[off]
 }
 
@@ -322,16 +321,13 @@ type System struct {
 	// core installs the kernel's revocation hook here.
 	OnFaultFailure func(o *Object, cause error) bool
 
-	// ForceSparseObjects restores the pre-overhaul reference data plane:
-	// every subsequently created object uses the sparse (map-backed) page
-	// table regardless of size, and address spaces skip the one-entry
-	// hot-entry cache, binary-searching the map list on every access as
-	// the old code did. It exists as the reference mode for the
-	// flat-vs-sparse differential fuzz and for same-host before/after
-	// benchmarking; production configurations leave it false. The mode is
-	// behaviour-preserving — only speed differs — which is exactly what
-	// the differential fuzz proves.
-	ForceSparseObjects bool
+	// forceSparse is a test hook, set only by this package's tests: every
+	// subsequently created object uses the sparse (map-backed) page table
+	// regardless of size, and address spaces skip the one-entry hot-entry
+	// cache and binary-search the map list on every access. It is the
+	// reference side of the flat-vs-sparse differential fuzz, which proves
+	// the two tables differ only in speed.
+	forceSparse bool
 
 	defaultPolicy Policy
 	// objects is indexed by object ID. IDs are never reused (the slot of a
@@ -480,7 +476,7 @@ func (s *System) NewObject(size int64, zeroFill bool) *Object {
 		pageShift: s.pageShift,
 		sys:       s,
 	}
-	if pages := size / ps; pages > flatMaxPages || s.ForceSparseObjects {
+	if pages := size / ps; pages > flatMaxPages || s.forceSparse {
 		o.sparse = make(map[int64]*mem.Page)
 	} else {
 		o.flat = make([]*mem.Page, pages)
@@ -584,7 +580,7 @@ func (sp *AddressSpace) access(addr int64, write bool) (*mem.Page, error) {
 			//hipec:vet-ignore hotalloc -- bad-address error construction; this branch never runs on a hit
 			return nil, fmt.Errorf("%w: %#x", ErrBadAddress, addr)
 		}
-		if !s.ForceSparseObjects {
+		if !s.forceSparse {
 			sp.hot = e
 		}
 	}

@@ -209,3 +209,45 @@ func TestDialOpenRejectsOversizeRegion(t *testing.T) {
 		t.Fatalf("Open(%d) = %v, want ErrBadRequest", huge, err)
 	}
 }
+
+// TestRegionChurnDoesNotRetainContainers: a daemon opens and frees policy
+// regions for as long as it runs, so a freed region's container must leave
+// the kernel's inspection list; only the regions still open remain.
+func TestRegionChurnDoesNotRetainContainers(t *testing.T) {
+	loop := hipec.NewClient(hipec.New(hipec.Config{
+		Frames: 64, PageSize: 4096, BurstFraction: 0.5,
+		Substrate: hipec.SubstrateConfig{Kind: hipec.SubstrateReal},
+	}))
+	defer loop.Close()
+	policy := hipec.WithPolicySource("fifo", hipec.PolicyFIFOSource(4))
+
+	kept, err := loop.Open(8, policy)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	for i := 0; i < 2000; i++ {
+		r, err := loop.Open(8, policy)
+		if err != nil {
+			t.Fatalf("cycle %d: open: %v", i, err)
+		}
+		if err := loop.TouchPage(r, 0); err != nil {
+			t.Fatalf("cycle %d: touch: %v", i, err)
+		}
+		if err := loop.FreeRegion(r); err != nil {
+			t.Fatalf("cycle %d: free: %v", i, err)
+		}
+	}
+	var retained int
+	if err := loop.Call(func(k *hipec.Kernel) error {
+		retained = len(k.Containers())
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if retained != 1 {
+		t.Fatalf("kernel retains %d containers after 2000 open/free cycles, want 1 (the region still open)", retained)
+	}
+	if err := loop.TouchPage(kept, 0); err != nil {
+		t.Fatalf("surviving region: %v", err)
+	}
+}
