@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 
+	"hipec/internal/disk"
 	"hipec/internal/faultinj"
 	"hipec/internal/hiperr"
 	"hipec/internal/kevent"
@@ -296,9 +297,9 @@ func (fm *FrameManager) noteReleased(c *Container, n int) {
 // executor "releases the flushed page to a VM object of the global frame
 // manager and receives a new free page", so it never waits for disk. The
 // flushed frame rejoins the machine pool when its write completes. If no
-// replacement frame is available the write happens synchronously and the
-// same frame is handed back clean. Clean pages are simply retired and
-// returned as-is.
+// replacement frame is available, or the disk models no time, the write
+// happens synchronously and the same frame is handed back clean. Clean
+// pages are simply retired and returned as-is.
 //
 // ok reports whether the flush succeeded. On failure the returned page is
 // the caller's own page back (still resident and dirty when its write-back
@@ -314,9 +315,13 @@ func (fm *FrameManager) FlushExchange(c *Container, p *mem.Page) (_ *mem.Page, o
 		}
 		return p, true
 	}
-	np := fm.Daemon.TakeOne()
+	var np *mem.Page
+	if fm.kernel.VM.Disk.Params() != (disk.Params{}) {
+		np = fm.Daemon.TakeOne()
+	}
 	if np == nil {
-		// Fallback: synchronous flush, reuse the same frame.
+		// Synchronous flush, reuse the same frame. A disk that models no
+		// time (realtime) has nothing for an exchange to overlap.
 		fm.emit(kevent.Event{Type: kevent.EvFMFlushExchange, Container: int32(c.ID)})
 		if err := fm.kernel.VM.PageOutSync(p); err != nil {
 			// Write-back failed: the page stays resident and dirty.

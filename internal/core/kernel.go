@@ -52,8 +52,8 @@ type Config struct {
 	// Substrate selects the world the kernel runs in. The zero value is the
 	// deterministic simulation on an in-memory store — byte-identical to the
 	// pre-seam kernel. substrate.Config{Kind: substrate.KindReal} runs on
-	// wall-clock time: cost models default to zero (real time is measured,
-	// not modeled), frames carry real page payloads cut from one arena, and
+	// wall-clock time: cost and disk models default to zero (measured, not
+	// modeled), frames carry real page payloads cut from one arena, and
 	// Substrate.Store (e.g. a filestore) supplies persistent backing.
 	Substrate substrate.Config
 }
@@ -122,20 +122,13 @@ func New(cfg Config) *Kernel {
 	if cfg.HiPECDisabled {
 		costs.RegionCheck = 0
 	}
-	dp := cfg.Disk
-	if real && dp == (disk.Params{}) {
-		// The timing model is vestigial on the realtime substrate (the
-		// store's actual I/O takes real time); keep the charge negligible
-		// while satisfying the positive-PerByte invariant.
-		dp = disk.Params{PerByte: 1}
-	}
 	inject := faultinj.New(cfg.Faults)
 	sys := vm.NewSystem(clock, vm.Config{
 		Frames:       cfg.Frames,
 		PageSize:     cfg.PageSize,
 		KeepData:     cfg.KeepData || real,
 		Costs:        costs,
-		Disk:         dp,
+		Disk:         cfg.Disk,
 		Retry:        cfg.Retry,
 		Inject:       inject,
 		Store:        cfg.Substrate.Store,

@@ -12,6 +12,10 @@
 // queue drained by scheduled completion events, mirroring how the HiPEC
 // global frame manager performs page flushing on behalf of policy executors
 // (§4.3.1, "I/O Handling").
+//
+// The zero Params model no time. The realtime substrate uses them: its
+// store's I/O takes real time, so Read charges nothing and a Write completes
+// inline, arming no timer. Injected latency spikes still sleep.
 package disk
 
 import (
@@ -79,8 +83,8 @@ func New(clock substrate.Clock, params Params, events *kevent.Emitter) *Disk {
 	if clock.IsZero() {
 		panic("disk: zero clock")
 	}
-	if params.PerByte <= 0 {
-		panic("disk: PerByte must be positive")
+	if params.PerByte < 0 {
+		panic("disk: negative PerByte")
 	}
 	if events == nil {
 		events = kevent.NewEmitter(clock)
@@ -161,7 +165,8 @@ func (d *Disk) Read(addr int64, size int) (time.Duration, error) {
 
 // Write enqueues an asynchronous write of size bytes at block addr. The
 // done callback (may be nil) fires on the event queue when the write
-// completes. Write returns the scheduled completion delay.
+// completes, or inline when the write takes no time. Write returns the
+// scheduled completion delay.
 func (d *Disk) Write(addr int64, size int, done func(now simtime.Time)) time.Duration {
 	if size <= 0 {
 		panic(fmt.Sprintf("disk: write of %d bytes", size))
@@ -175,6 +180,12 @@ func (d *Disk) Write(addr int64, size int, done func(now simtime.Time)) time.Dur
 	}
 	d.events.Emit(kevent.Event{Type: kevent.EvDiskWrite, Addr: addr, Arg: int64(size), Aux: int64(t), Flag: d.sequential(addr)})
 	d.lastAddr = addr
+	if t == 0 {
+		if done != nil {
+			done(d.clock.Now())
+		}
+		return 0
+	}
 	d.inflight++
 	d.clock.After(t, func(now simtime.Time) {
 		d.inflight--

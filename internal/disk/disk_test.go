@@ -268,3 +268,77 @@ func TestInjectedLatencySpike(t *testing.T) {
 		t.Errorf("slow read service time %v, want %v", st, base+50*time.Millisecond)
 	}
 }
+
+// The zero Params model no time: the realtime substrate's disk.
+func newZeroDisk() (*simtime.Clock, *Disk) {
+	c := simtime.NewClock()
+	return c, New(substrate.Sim(c), Params{}, nil)
+}
+
+func TestZeroParamsReadChargesNothing(t *testing.T) {
+	c, d := newZeroDisk()
+	st, err := d.Read(100, 4096)
+	if err != nil || st != 0 {
+		t.Fatalf("Read = %v, %v; want 0, nil", st, err)
+	}
+	if c.Now() != 0 {
+		t.Fatalf("clock advanced to %v", c.Now())
+	}
+	if s := d.Stats(); s.Reads != 1 || s.ReadTime != 0 {
+		t.Fatalf("stats = %+v", s)
+	}
+}
+
+func TestZeroParamsWriteCompletesInline(t *testing.T) {
+	c, d := newZeroDisk()
+	done := false
+	if delay := d.Write(42, 4096, func(simtime.Time) { done = true }); delay != 0 {
+		t.Fatalf("Write delay = %v, want 0", delay)
+	}
+	if !done {
+		t.Fatal("completion callback did not run inline")
+	}
+	if d.Inflight() != 0 || c.Pending() != 0 {
+		t.Fatalf("Inflight = %d, pending timers = %d; want 0, 0", d.Inflight(), c.Pending())
+	}
+	if s := d.Stats(); s.Writes != 1 || s.WriteTime != 0 {
+		t.Fatalf("stats = %+v", s)
+	}
+	d.Write(43, 4096, nil) // nil callback must not panic
+}
+
+func TestNegativePerBytePanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("New with negative PerByte did not panic")
+		}
+	}()
+	New(substrate.Sim(simtime.NewClock()), Params{PerByte: -1}, nil)
+}
+
+// An injected latency spike still sleeps on a zero model, so the fault
+// plane keeps its meaning on the realtime substrate.
+func TestInjectedSlowOnZeroModel(t *testing.T) {
+	c, d := newZeroDisk()
+	pl := faultinj.NewPlane(3)
+	pl.SetRule(faultinj.DiskRead, faultinj.Rule{SlowRate: 1, SlowBy: 5 * time.Millisecond})
+	pl.SetRule(faultinj.DiskWrite, faultinj.Rule{SlowRate: 1, SlowBy: 5 * time.Millisecond})
+	d.SetInjector(pl)
+	if st, err := d.Read(7, 4096); err != nil || st != 5*time.Millisecond {
+		t.Fatalf("slow Read = %v, %v; want 5ms, nil", st, err)
+	}
+	if c.Now() != simtime.Time(5*time.Millisecond) {
+		t.Fatalf("clock at %v after a 5ms spike", c.Now())
+	}
+	done := false
+	if delay := d.Write(8, 4096, func(simtime.Time) { done = true }); delay != 5*time.Millisecond {
+		t.Fatalf("slow Write delay = %v, want 5ms", delay)
+	}
+	if done || d.Inflight() != 1 {
+		t.Fatalf("slow Write completed inline (done %v, inflight %d)", done, d.Inflight())
+	}
+	c.Advance(5 * time.Millisecond)
+	if !done || d.Inflight() != 0 {
+		t.Fatal("slow Write never completed")
+	}
+}

@@ -393,9 +393,10 @@ type Config struct {
 	// sets it so cached pages hold actual bytes.
 	PayloadArena bool
 
-	// RawCosts keeps a zero Costs value as-is instead of substituting the
-	// calibrated 1994 defaults. The realtime substrate sets it: real time
-	// is measured by the clock, not modeled by charges.
+	// RawCosts keeps zero Costs and Disk values as-is instead of
+	// substituting the calibrated 1994 defaults. The realtime substrate
+	// sets it: real time is measured by the clock, not modeled by charges,
+	// so page-ins and write-backs cost what the store's I/O costs.
 	RawCosts bool
 }
 
@@ -416,7 +417,7 @@ func NewSystem(clock substrate.Clock, cfg Config) *System {
 	if cfg.Costs == (Costs{}) && !cfg.RawCosts {
 		cfg.Costs = DefaultCosts()
 	}
-	if cfg.Disk == (disk.Params{}) {
+	if cfg.Disk == (disk.Params{}) && !cfg.RawCosts {
 		cfg.Disk = disk.DefaultParams()
 	}
 	if cfg.Retry == (Retry{}) {
@@ -716,6 +717,7 @@ func (sp *AddressSpace) pageInOnce(e *MapEntry, off, addr int64, p *mem.Page) er
 		if present {
 			s.Events.Emit(kevent.Event{Type: kevent.EvPageIn, Space: int32(sp.ID), Addr: addr, Arg: int64(e.Object.ID), Aux: off})
 		} else {
+			clear(p.Data) // a recycled frame still holds its last owner's bytes
 			s.Events.Emit(kevent.Event{Type: kevent.EvZeroFill, Space: int32(sp.ID), Addr: addr, Arg: int64(e.Object.ID), Aux: off})
 		}
 		return nil
@@ -741,6 +743,7 @@ func (sp *AddressSpace) pageInOnce(e *MapEntry, off, addr int64, p *mem.Page) er
 		}
 		s.Events.Emit(kevent.Event{Type: kevent.EvPageIn, Space: int32(sp.ID), Addr: addr, Arg: int64(e.Object.ID), Aux: off})
 	} else {
+		clear(p.Data)
 		s.Events.Emit(kevent.Event{Type: kevent.EvZeroFill, Space: int32(sp.ID), Addr: addr, Arg: int64(e.Object.ID), Aux: off})
 	}
 	return nil
