@@ -1,12 +1,11 @@
 // Command hipecvet runs the repo's custom static-analysis passes
 // (internal/analyzers) over the source tree: the type-aware engine proves
-// the determinism rules (wallclock, globalrand), the substrate and client
-// seams (simclock, loopseam), the typed-error and no-global-state
-// discipline (errtype, globalstate), the single-writer actor invariants
-// (loopcapture, blockinloop), the hot-path zero-allocation contract
-// (mapinloop, hotalloc) and the wire protocol's refuse-before-allocate rule
-// (wiretaint). It is the CI companion of the HPL policy verifier — the same
-// idea pointed at the Go sources.
+// the determinism rules (wallclock, globalrand), the substrate seam
+// (simclock), the typed-error and no-global-state discipline (errtype,
+// globalstate), the single loop's no-blocking rule (blockinloop) and the
+// hot path's no-map rule (mapinloop) — the seven invariants no test, golden
+// or -race run catches being broken. It is the CI companion of the HPL
+// policy verifier — the same idea pointed at the Go sources.
 //
 // Usage:
 //

@@ -1,8 +1,9 @@
 // Package analyzers holds the repo's custom static-analysis passes — the
 // Go-source counterpart of the HPL policy verifier. Where internal/hpl/verify
 // proves policy programs safe before they enter the simulated kernel, this
-// package proves the kernel sources keep their own load-bearing invariants
-// at build time, on resolved types rather than identifier spelling:
+// package proves the kernel sources keep the invariants no test, golden or
+// -race run would notice them losing, on resolved types rather than
+// identifier spelling:
 //
 //   - determinism: simulation packages must not read the wall clock
 //     (wallclock) or the global math/rand state (globalrand);
@@ -12,19 +13,16 @@
 //     fmt.Errorf without %w or an inline errors.New (errtype);
 //   - kernel isolation: no package-level mutable counters or sync/atomic
 //     state (globalstate);
-//   - the client seam: core.Loop is constructed only inside internal/ and
-//     the facade (loopseam);
-//   - the single-writer actor: kernel state must not escape a Loop.Call
-//     closure into a goroutine, package variable, or longer-lived struct
-//     (loopcapture), and no blocking call may be statically reachable from
-//     a command body executed on the loop (blockinloop);
-//   - the zero-allocation contract: //hipec:hotpath functions must not
-//     index maps (mapinloop) or perform the allocation shapes only types
-//     reveal — interface boxing, capturing closures, append without
-//     capacity, string concatenation (hotalloc);
-//   - refuse-before-allocate: in the wire and server packages, a length
-//     decoded from the network must pass a bound check before it reaches
-//     make (wiretaint).
+//   - the single loop: no blocking call may be statically reachable from a
+//     command body executed on core.Loop (blockinloop);
+//   - the dense data plane: //hipec:hotpath functions must not index or
+//     range over maps (mapinloop).
+//
+// A pass stays only while no runtime check sees its defect. Hot-path
+// allocations are pinned by AllocsPerRun tests, the wire's
+// refuse-before-allocate bounds by hostile-peer tests, and kernel state
+// escaping a Loop closure by the -race runs (see DESIGN.md for the plants
+// behind each removal).
 //
 // The engine (see load.go) type-checks whole packages with go/parser +
 // go/types and the stdlib source importer — no module downloads, no
@@ -86,9 +84,6 @@ type pass struct {
 
 func internalOnly(pkgPath string) bool { return strings.HasPrefix(pkgPath, "internal") }
 func wholeTree(string) bool            { return true }
-func wireScope(pkgPath string) bool {
-	return pkgPath == "internal/wire" || pkgPath == "internal/server"
-}
 
 // passes is the registry, in documentation order.
 var passes = []pass{
@@ -98,11 +93,7 @@ var passes = []pass{
 	{"errtype", internalOnly, checkErrType},
 	{"globalstate", internalOnly, checkGlobalState},
 	{"mapinloop", wholeTree, checkMapInLoop},
-	{"loopseam", wholeTree, checkLoopSeam},
-	{"loopcapture", wholeTree, checkLoopCapture},
 	{"blockinloop", wholeTree, checkBlockInLoop},
-	{"hotalloc", wholeTree, checkHotAlloc},
-	{"wiretaint", wireScope, checkWireTaint},
 }
 
 // knownPasses validates vet-ignore directives (the meta pass itself cannot

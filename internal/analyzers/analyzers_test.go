@@ -23,32 +23,31 @@ func TestRepoIsClean(t *testing.T) {
 func TestFindingJSON(t *testing.T) {
 	f := Finding{
 		Pos:      token.Position{Filename: "internal/vm/vm.go", Line: 3, Column: 7},
-		Analyzer: "hotalloc",
-		Msg:      "argument boxes int64 into any",
+		Analyzer: "mapinloop",
+		Msg:      "map lookup inside hot-path function access",
 	}
 	b, err := json.Marshal(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := `{"file":"internal/vm/vm.go","line":3,"col":7,"pass":"hotalloc","msg":"argument boxes int64 into any"}`
+	want := `{"file":"internal/vm/vm.go","line":3,"col":7,"pass":"mapinloop","msg":"map lookup inside hot-path function access"}`
 	if string(b) != want {
 		t.Fatalf("Finding JSON = %s, want %s", b, want)
 	}
 }
 
-// TestPassRegistry guards the registry against silent drops: all eleven
+// TestPassRegistry guards the registry against silent drops: all seven
 // passes stay registered and suppressible by name.
 func TestPassRegistry(t *testing.T) {
 	for _, name := range []string{
 		"wallclock", "simclock", "globalrand", "errtype", "globalstate",
-		"mapinloop", "loopseam", "loopcapture", "blockinloop", "hotalloc",
-		"wiretaint",
+		"mapinloop", "blockinloop",
 	} {
 		if !knownPasses[name] {
 			t.Errorf("pass %q missing from the registry", name)
 		}
 	}
-	if len(knownPasses) != 11 {
-		t.Errorf("registry has %d passes, want 11", len(knownPasses))
+	if len(knownPasses) != 7 {
+		t.Errorf("registry has %d passes, want 7", len(knownPasses))
 	}
 }

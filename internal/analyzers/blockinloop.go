@@ -230,12 +230,41 @@ func (p *Pkg) provablyUnbuffered(ch ast.Expr, enclosing ast.Node) bool {
 	return seen && verdict
 }
 
+// loopClosures finds every function literal handed to the loop's Call/Async
+// mailbox methods in the package.
+func loopClosures(p *Pkg) []*ast.FuncLit {
+	var out []*ast.FuncLit
+	for _, f := range p.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			fn := p.funcFor(call)
+			if fn == nil || (fn.Name() != "Call" && fn.Name() != "Async") {
+				return true
+			}
+			pkgPath, recvName, ok := recvNamed(fn)
+			if !ok || pkgPath != "hipec/internal/core" || recvName != "Loop" {
+				return true
+			}
+			for _, arg := range call.Args {
+				if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
+					out = append(out, lit)
+				}
+			}
+			return true
+		})
+	}
+	return out
+}
+
 // checkBlockInLoop flags blocking work statically reachable from Loop
 // command closures.
 func checkBlockInLoop(p *Pkg, report reportFunc) {
-	for _, lc := range loopClosures(p) {
+	for _, lit := range loopClosures(p) {
 		stack := map[*types.Func]bool{}
-		p.scanBlocking(lc.lit.Body, lc.lit.Body, 0, stack, func(n ast.Node, chain []string) {
+		p.scanBlocking(lit.Body, lit.Body, 0, stack, func(n ast.Node, chain []string) {
 			report(n, "blocking call reachable from a Loop command closure (stalls every client of the loop): %s", strings.Join(chain, " -> "))
 		})
 	}

@@ -121,8 +121,8 @@ func applyDirectives(p *Pkg, raw []Finding) []Finding {
 }
 
 // hotPathMarked reports whether a function's doc comment carries the
-// //hipec:hotpath directive (the zero-allocation contract the mapinloop and
-// hotalloc passes enforce).
+// //hipec:hotpath directive (the dense data-plane contract mapinloop
+// enforces).
 func hotPathMarked(fd *ast.FuncDecl) bool {
 	if fd.Doc == nil {
 		return false

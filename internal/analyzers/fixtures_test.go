@@ -12,7 +12,7 @@ import (
 // one package analyzed with the full engine. Expected findings are declared
 // in the sources with want comments holding backquoted regexes:
 //
-//	buf := make([]byte, n) // want `wiretaint: length decoded from the network`
+//	now := time.Now() // want `wallclock: time\.Now reads the wall clock`
 //
 // A trailing want applies to its own line; a want alone on its line applies
 // to the line below (the only way to expect a finding on a comment line,

@@ -313,50 +313,12 @@ func recvNamed(fn *types.Func) (pkgPath, name string, ok bool) {
 	return named.Obj().Pkg().Path(), named.Obj().Name(), true
 }
 
-// namedType unwraps pointers and reports the (package path, name) of a
-// named type; ok=false for unnamed or universe types.
-func namedType(t types.Type) (pkgPath, name string, ok bool) {
-	for {
-		ptr, isPtr := t.(*types.Pointer)
-		if !isPtr {
-			break
-		}
-		t = ptr.Elem()
-	}
-	named, nok := t.(*types.Named)
-	if !nok || named.Obj().Pkg() == nil {
-		return "", "", false
-	}
-	return named.Obj().Pkg().Path(), named.Obj().Name(), true
-}
-
 // exprType returns the static type of e (nil when untracked).
 func (p *Pkg) exprType(e ast.Expr) types.Type {
 	if tv, ok := p.Info.Types[e]; ok {
 		return tv.Type
 	}
 	return nil
-}
-
-// baseIdent unwraps an assignable expression to its leftmost identifier:
-// x, x.f, x[i], *x, (x).f all resolve to x.
-func baseIdent(e ast.Expr) *ast.Ident {
-	for {
-		switch v := e.(type) {
-		case *ast.Ident:
-			return v
-		case *ast.SelectorExpr:
-			e = v.X
-		case *ast.IndexExpr:
-			e = v.X
-		case *ast.StarExpr:
-			e = v.X
-		case *ast.ParenExpr:
-			e = v.X
-		default:
-			return nil
-		}
-	}
 }
 
 // objectOf resolves an identifier to its object (definition or use).

@@ -8,7 +8,7 @@ import (
 	"strings"
 )
 
-// This file holds the seven legacy passes, ported from the old per-file
+// This file holds the six legacy passes, ported from the old per-file
 // go/ast walker onto the type-aware engine. Each now matches on resolved
 // objects and package paths — a renamed import (`import t "time"`), an
 // aliased type, or a cross-package map value are all visible — where the old
@@ -227,44 +227,5 @@ func checkMapInLoop(p *Pkg, report reportFunc) {
 				return true
 			})
 		}
-	}
-}
-
-// coreLoop reports whether t (after unwrapping pointers) is the
-// core.Loop named type.
-func coreLoop(t types.Type) bool {
-	pkgPath, name, ok := namedType(t)
-	return ok && pkgPath == "hipec/internal/core" && name == "Loop"
-}
-
-// checkLoopSeam protects the client seam: outside internal/ and the root
-// hipec package, nothing may construct a core.Loop directly (core.NewLoop,
-// a core.Loop composite literal, or new(core.Loop)). Application code —
-// cmd/, examples/ — goes through hipec.NewClient, hipec.Serve or hipec.Dial
-// so every entry point carries the Client contract. Inspection-only use of
-// internal/core (the compiler and VM tools) stays legal.
-func checkLoopSeam(p *Pkg, report reportFunc) {
-	if p.Path == "." || strings.HasPrefix(p.Path, "internal") {
-		return
-	}
-	for _, f := range p.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.CallExpr:
-				if pkgFunc(p.funcFor(n), "hipec/internal/core", "NewLoop") {
-					report(n, "core.NewLoop outside internal/; construct clients through hipec.NewClient / hipec.Serve / hipec.Dial")
-				}
-				if p.isBuiltin(n, "new") && len(n.Args) == 1 {
-					if tv, ok := p.Info.Types[n.Args[0]]; ok && tv.IsType() && coreLoop(tv.Type) {
-						report(n, "new(core.Loop) outside internal/; construct clients through hipec.NewClient / hipec.Serve / hipec.Dial")
-					}
-				}
-			case *ast.CompositeLit:
-				if t := p.exprType(n); t != nil && coreLoop(t) {
-					report(n, "core.Loop literal outside internal/; construct clients through hipec.NewClient / hipec.Serve / hipec.Dial")
-				}
-			}
-			return true
-		})
 	}
 }

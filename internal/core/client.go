@@ -82,7 +82,8 @@ func WithPolicySource(name, source string) RegionOption {
 }
 
 // WithRegionRetryBudget overrides the fault path's page-in retry budget for
-// the region (see WithRetryBudget). n <= 0 is ignored.
+// the region (see WithRetryBudget), capped at 8 attempts. n <= 0 is
+// ignored.
 func WithRegionRetryBudget(n int) RegionOption {
 	return func(o *RegionOptions) { o.Retry = n }
 }
@@ -98,6 +99,13 @@ var policyTranslator func(name, source string) (*Spec, error)
 func RegisterPolicyTranslator(fn func(name, source string) (*Spec, error)) {
 	policyTranslator = fn
 }
+
+// maxRegionRetry caps the page-in retry budget a client may ask for. The
+// budget is the caller's to ask for but the loop's to spend: every retry
+// sleeps a doubling real-time backoff on the one goroutine all clients
+// share, and at the default 500 µs backoff eight attempts hold the loop for
+// at most ~64 ms per failing fault. Both transports reach it through Open.
+const maxRegionRetry = 8
 
 func badRequest(op, format string, args ...any) error {
 	args = append(args, hiperr.ErrBadRequest)
@@ -157,7 +165,7 @@ func (s *CacheSession) Open(k *Kernel, pages int, opts ...RegionOption) (RegionI
 		allocOpts = append(allocOpts, WithPolicy(spec))
 	}
 	if o.Retry > 0 {
-		allocOpts = append(allocOpts, WithRetryBudget(o.Retry))
+		allocOpts = append(allocOpts, WithRetryBudget(min(o.Retry, maxRegionRetry)))
 	}
 	sp := k.NewSpace()
 	e, c, err := k.Allocate(sp, int64(pages)*int64(k.VM.PageSize()), allocOpts...)

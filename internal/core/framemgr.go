@@ -338,7 +338,6 @@ func (fm *FrameManager) FlushExchange(c *Container, p *mem.Page) (_ *mem.Page, o
 	cid := int32(c.ID)
 	obj := fm.kernel.VM.Object(p.Object)
 	fm.emit(kevent.Event{Type: kevent.EvFMFlushExchange, Container: cid, Flag: true})
-	//hipec:vet-ignore hotalloc -- laundering completion callback rides the asynchronous disk write; its capture is noise against the I/O it tracks
 	if err := fm.kernel.VM.PageOut(p, func(simtime.Time) {
 		p.Object, p.Offset = 0, 0
 		fm.Daemon.ReturnFrame(p)

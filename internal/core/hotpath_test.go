@@ -3,6 +3,8 @@ package core
 import (
 	"testing"
 	"time"
+
+	"hipec/internal/substrate"
 )
 
 // --- batched clock charging: correctness --------------------------------
@@ -221,5 +223,88 @@ func TestRequestReleaseCycleDoesNotAllocate(t *testing.T) {
 		}
 	}); avg != 0 {
 		t.Fatalf("request/release cycle allocates %.2f/op, want 0", avg)
+	}
+}
+
+// TestFlushExchangeAllocations pins the allocation count of each of
+// FlushExchange's three branches at what it is today: the clean branch
+// allocates nothing, the synchronous (realtime) branch only the memory
+// store's copy of the written page, and the asynchronous (sim) branch only
+// the laundering completion closure and the disk's completion timer. A new
+// allocation on any branch moves its count.
+func TestFlushExchangeAllocations(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		kind  substrate.Kind
+		dirty bool
+		want  float64
+	}{
+		{"clean", substrate.KindSim, false, 0},
+		{"sync", substrate.KindReal, true, 1},
+		{"async", substrate.KindSim, true, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := New(Config{
+				Frames:        128,
+				PageSize:      4096,
+				BurstFraction: 0.5,
+				Substrate:     substrate.Config{Kind: tc.kind},
+			})
+			sp := k.NewSpace()
+			e, c, err := k.Allocate(sp, 8*4096, WithPolicy(simpleSpec(8)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// One cycle: fault the page in (dirty or clean), flush it, hand
+			// the returned frame back to the policy's free list, and let a
+			// laundering write complete.
+			cycle := func() {
+				var err error
+				if tc.dirty {
+					_, err = sp.Write(e.Start)
+				} else {
+					_, err = sp.Touch(e.Start)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				np, ok := k.FM.FlushExchange(c, c.Active.DequeueHead())
+				if !ok {
+					t.Fatal("flush failed")
+				}
+				c.Free.EnqueueTail(np)
+				if tc.kind == substrate.KindSim {
+					k.Clock.Advance(time.Second)
+				}
+			}
+			cycle() // warm: lazy structures exist before measuring
+			if avg := testing.AllocsPerRun(200, cycle); avg != tc.want {
+				t.Fatalf("FlushExchange %s cycle allocates %.2f/op, pinned at %.0f", tc.name, avg, tc.want)
+			}
+		})
+	}
+}
+
+// TestReclaimForcedDoesNotAllocate pins forced reclamation: stealing the
+// oldest-allocated frames from a container above its minimum reuses the
+// manager's candidate scratch and must not allocate.
+func TestReclaimForcedDoesNotAllocate(t *testing.T) {
+	k := testKernel(256)
+	sp := k.NewSpace()
+	_, c, err := k.Allocate(sp, 8*4096, WithPolicy(simpleSpec(8)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cycle := func() {
+		if !k.FM.Request(c, 4) {
+			t.Fatal("request denied")
+		}
+		if got := k.FM.reclaimForced(4, nil); got != 4 {
+			t.Fatalf("reclaimForced took %d frames, want 4", got)
+		}
+	}
+	cycle()
+	if avg := testing.AllocsPerRun(200, cycle); avg != 0 {
+		t.Fatalf("forced reclaim cycle allocates %.2f/op, want 0", avg)
 	}
 }

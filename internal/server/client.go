@@ -232,8 +232,15 @@ func (c *Client) Open(pages int, opts ...core.RegionOption) (core.RegionID, erro
 // WritePage write-faults page page of region r and stores data (length <=
 // PageSize) at its head.
 func (c *Client) WritePage(r core.RegionID, page int, data []byte) error {
-	_, err := c.roundTrip(func(dst []byte, seq uint32) ([]byte, error) {
-		return wire.AppendWrite(dst, seq, uint32(r), uint32(page), data)
+	p, err := wirePage(page)
+	if err != nil {
+		return err
+	}
+	if len(data) > c.pageSize {
+		return fmt.Errorf("hipec client: payload %d bytes exceeds page size %d: %w", len(data), c.pageSize, hiperr.ErrBadRequest)
+	}
+	_, err = c.roundTrip(func(dst []byte, seq uint32) ([]byte, error) {
+		return wire.AppendWrite(dst, seq, uint32(r), p, data)
 	})
 	return err
 }
@@ -241,8 +248,12 @@ func (c *Client) WritePage(r core.RegionID, page int, data []byte) error {
 // ReadPage touch-faults page page of region r and copies up to len(buf)
 // payload bytes into buf, returning the count.
 func (c *Client) ReadPage(r core.RegionID, page int, buf []byte) (int, error) {
+	p, err := wirePage(page)
+	if err != nil {
+		return 0, err
+	}
 	resp, err := c.roundTrip(func(dst []byte, seq uint32) ([]byte, error) {
-		return wire.AppendRead(dst, seq, uint32(r), uint32(page), uint32(len(buf))), nil
+		return wire.AppendRead(dst, seq, uint32(r), p, uint32(len(buf))), nil
 	})
 	if err != nil {
 		return 0, err
@@ -252,8 +263,12 @@ func (c *Client) ReadPage(r core.RegionID, page int, buf []byte) (int, error) {
 
 // TouchPage read-faults page page of region r.
 func (c *Client) TouchPage(r core.RegionID, page int) error {
-	_, err := c.roundTrip(func(dst []byte, seq uint32) ([]byte, error) {
-		return wire.AppendTouch(dst, seq, uint32(r), uint32(page)), nil
+	p, err := wirePage(page)
+	if err != nil {
+		return err
+	}
+	_, err = c.roundTrip(func(dst []byte, seq uint32) ([]byte, error) {
+		return wire.AppendTouch(dst, seq, uint32(r), p), nil
 	})
 	return err
 }
@@ -263,10 +278,24 @@ func (c *Client) TouchPage(r core.RegionID, page int) error {
 // "applied" — the same enqueued-not-guaranteed contract as Loop.Async,
 // stretched over TCP.
 func (c *Client) TouchAsync(r core.RegionID, page int) bool {
-	_, err := c.send(func(dst []byte, seq uint32) ([]byte, error) {
-		return wire.AppendTouch(dst, seq, uint32(r), uint32(page)), nil
+	p, err := wirePage(page)
+	if err != nil {
+		return false
+	}
+	_, err = c.send(func(dst []byte, seq uint32) ([]byte, error) {
+		return wire.AppendTouch(dst, seq, uint32(r), p), nil
 	}, nil)
 	return err == nil
+}
+
+// wirePage narrows a page index to the wire's 32 bits. An index the wire
+// cannot carry is refused, never truncated onto another page: in-process,
+// the same index is an out-of-range ErrBadRequest.
+func wirePage(page int) (uint32, error) {
+	if page < 0 || int64(page) > math.MaxUint32 {
+		return 0, fmt.Errorf("hipec client: page %d out of range: %w", page, hiperr.ErrBadRequest)
+	}
+	return uint32(page), nil
 }
 
 // FreeRegion releases region r on the server.

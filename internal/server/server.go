@@ -42,11 +42,6 @@ func defaults() options {
 // DefaultMaxBatch bounds how many decoded requests one Loop.Call applies.
 const DefaultMaxBatch = 64
 
-// maxWireRetry caps the page-in retry budget a peer may request for a
-// region. At the default 500 µs doubling backoff, eight attempts hold the
-// loop for at most ~64 ms per failing fault.
-const maxWireRetry = 8
-
 // WithFrames sets the kernel's physical memory size in frames (default
 // 4096).
 func WithFrames(n int) Option {
@@ -333,10 +328,8 @@ func (s *Server) execute(k *core.Kernel, sess *core.CacheSession, req wire.Reque
 			opts = append(opts, core.WithPolicySource(req.Name, req.Source))
 		}
 		if req.Retry > 0 {
-			// The budget is the peer's to ask for but the loop's to spend:
-			// every retry sleeps a doubling real-time backoff on the one
-			// goroutine all clients share.
-			opts = append(opts, core.WithRegionRetryBudget(int(min(req.Retry, maxWireRetry))))
+			// CacheSession.Open caps the budget for every transport.
+			opts = append(opts, core.WithRegionRetryBudget(int(req.Retry)))
 		}
 		r, err := sess.Open(k, int(req.Pages), opts...)
 		if err != nil {

@@ -6,12 +6,14 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"hipec/internal/core"
+	"hipec/internal/disk/filestore"
 	"hipec/internal/hiperr"
 	"hipec/internal/policies"
 	"hipec/internal/substrate"
@@ -109,10 +111,23 @@ func TestErrorsStayTypedAcrossTheWire(t *testing.T) {
 }
 
 // The concurrency contract, networked: many clients (and pipelining
-// goroutines within each) hammer one server. Run under -race this proves
-// the mailbox stays the only synchronization end to end.
+// goroutines within each) hammer one server over a file store, paging
+// through their four-frame policies. Run under -race this proves the
+// mailbox stays the only synchronization end to end: a kernel or store
+// handle that escapes a Loop closure and is touched off the loop races
+// with the other connections' batches.
 func TestConcurrentClients(t *testing.T) {
-	_, addr := newTestServer(t, WithFrames(128))
+	store, err := filestore.OpenTemp(t.TempDir(), testPageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	srv := New(store, WithFrames(128))
+	if err := srv.ListenAndServe("127.0.0.1:0"); err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	defer srv.Close()
+	addr := srv.Addr().String()
 	const clients = 8
 	const pages = 16
 	var wg sync.WaitGroup
@@ -166,6 +181,10 @@ func TestConcurrentClients(t *testing.T) {
 	close(errc)
 	for err := range errc {
 		t.Error(err)
+	}
+	srv.Close() // quiesce the loop before reading the store's counters
+	if store.Writes == 0 || store.Reads == 0 {
+		t.Fatalf("load never paged through the store: %d writes, %d reads", store.Writes, store.Reads)
 	}
 }
 
@@ -344,7 +363,7 @@ func (s *brokenStore) ReadPage(key substrate.PageKey) ([]byte, bool, error) {
 	return s.Store.ReadPage(key)
 }
 
-// A peer can put any 32-bit retry budget on the wire. The server must cap
+// A peer can put any 32-bit retry budget on the wire. The kernel must cap
 // it: each retry is a doubling real-time sleep on the loop goroutine, so an
 // unclamped 4-billion-attempt budget on a failing store stalls every client.
 func TestHostileRetryBudgetIsClamped(t *testing.T) {
@@ -378,7 +397,46 @@ func TestHostileRetryBudgetIsClamped(t *testing.T) {
 	if err := c.TouchPage(r, 0); !errors.Is(err, hiperr.ErrDiskIO) {
 		t.Fatalf("touch on a broken store = %v, want ErrDiskIO", err)
 	}
-	if got := store.reads.Load(); got != maxWireRetry {
-		t.Fatalf("page-in attempts = %d, want the cap %d", got, maxWireRetry)
+	const wantCap = 8 // core's maxRegionRetry
+	if got := store.reads.Load(); got != wantCap {
+		t.Fatalf("page-in attempts = %d, want the cap %d", got, wantCap)
+	}
+}
+
+// A peer can also ask any read for a 32-bit MaxLen. The server must clamp it
+// to the page size before allocating the reply buffer, or one request buys
+// a hostile peer a buffer of its choosing (refuse-before-allocate, the rule
+// wire.MaxFrame enforces on frame prefixes).
+func TestHostileReadLengthIsClamped(t *testing.T) {
+	_, addr := newTestServer(t)
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer c.Close()
+	r, err := c.Open(1)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	if err := c.WritePage(r, 0, []byte("x")); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+
+	const hostile = 256 << 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	// Client.ReadPage would never send this; speak the wire directly.
+	resp, err := c.roundTrip(func(dst []byte, seq uint32) ([]byte, error) {
+		return wire.AppendRead(dst, seq, uint32(r), 0, hostile), nil
+	})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatalf("read: %v", err)
+	}
+	if len(resp.Data) != testPageSize {
+		t.Fatalf("read returned %d bytes, want the page size %d", len(resp.Data), testPageSize)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= hostile/16 {
+		t.Fatalf("one read with MaxLen %d allocated %d bytes; the server must clamp to the page size first", hostile, got)
 	}
 }

@@ -22,10 +22,10 @@
 //
 // Like the filestore, none of these backends is safe for concurrent use on
 // its own: in realtime mode every access is serialized by the kernel's
-// actor loop (core.Loop). The hipecvet blockinloop/loopcapture passes
-// enforce the seam — loop commands reach stores only through the
-// substrate.Store interface, and no concrete store handle may escape a
-// Loop.Call closure.
+// actor loop (core.Loop). The hipecvet blockinloop pass enforces the seam
+// — loop commands reach stores only through the substrate.Store interface
+// — and the -race run of server.TestConcurrentClients catches a store
+// handle that escapes a Loop.Call closure and is touched off the loop.
 package store
 
 import (

@@ -578,7 +578,6 @@ func (sp *AddressSpace) access(addr int64, write bool) (*mem.Page, error) {
 		e, ok = sp.Lookup(addr)
 		if !ok {
 			s.Events.Emit(kevent.Event{Type: kevent.EvBadAddress, Space: int32(sp.ID), Addr: addr})
-			//hipec:vet-ignore hotalloc -- bad-address error construction; this branch never runs on a hit
 			return nil, fmt.Errorf("%w: %#x", ErrBadAddress, addr)
 		}
 		if !s.forceSparse {
@@ -627,16 +626,13 @@ func (sp *AddressSpace) fault(e *MapEntry, off, addr int64, write bool) (*mem.Pa
 	*f = Fault{Space: sp, Entry: e, Object: e.Object, Offset: off, Addr: addr, Write: write}
 	p, err := policy.PageFor(f)
 	if err != nil {
-		//hipec:vet-ignore hotalloc -- fault-failure error construction; allocation is fine once the fault is already lost
 		return nil, &hiperr.Error{Op: "vm.fault", Space: sp.ID, Err: fmt.Errorf("at %#x: %w", addr, err)}
 	}
 	if p == nil {
-		//hipec:vet-ignore hotalloc -- policy-misbehavior error construction; failure path only
 		err := fmt.Errorf("at %#x: policy %q returned no page: %w", addr, policy.Name(), hiperr.ErrPolicyFault)
 		return nil, &hiperr.Error{Op: "vm.fault", Space: sp.ID, Err: err}
 	}
 	if p.Queue() != nil {
-		//hipec:vet-ignore hotalloc -- invariant-violation panic; the process is crashing
 		panic(fmt.Sprintf("vm: policy %q returned %v still on a queue", policy.Name(), p))
 	}
 	// Install the frame.

@@ -32,6 +32,18 @@ func TestClientSeamBothTransports(t *testing.T) {
 		if err := c.WritePage(r, 5, payload); err != nil {
 			t.Fatalf("write: %v", err)
 		}
+		// Arguments the wire cannot carry are the same bad request on both
+		// transports: a page past 32 bits must not truncate onto page 5,
+		// and a payload past the page size is not a wire encoding error.
+		if strconv.IntSize == 64 {
+			wrapped := int(int64(math.MaxUint32) + 1 + 5)
+			if err := c.WritePage(r, wrapped, []byte("clobbered")); !errors.Is(err, hipec.ErrBadRequest) {
+				t.Fatalf("write page %d: got %v, want ErrBadRequest", wrapped, err)
+			}
+		}
+		if err := c.WritePage(r, 5, make([]byte, 70000)); !errors.Is(err, hipec.ErrBadRequest) {
+			t.Fatalf("write of 70000 bytes: got %v, want ErrBadRequest", err)
+		}
 		buf := make([]byte, len(payload))
 		n, err := c.ReadPage(r, 5, buf)
 		if err != nil {
@@ -106,7 +118,8 @@ func (s *brokenStore) ReadPage(key substrate.PageKey) ([]byte, bool, error) {
 // TestOpenOptionParity: the same Open arguments must mean the same thing
 // in-process and over the wire. The retry budget is observed as page-in
 // attempts against a store that has started failing; a non-positive budget
-// is "kernel default" on both transports, never a 32-bit wraparound.
+// is "kernel default" on both transports, never a 32-bit wraparound, and a
+// budget past the kernel's cap is capped on both.
 func TestOpenOptionParity(t *testing.T) {
 	const frames, pages = 16, 64
 	cases := []struct {
@@ -120,6 +133,7 @@ func TestOpenOptionParity(t *testing.T) {
 		{"zero budget is the default", pages, []hipec.RegionOption{hipec.WithRegionRetryBudget(0)}, nil, 3},
 		{"negative budget is the default", pages, []hipec.RegionOption{hipec.WithRegionRetryBudget(-1)}, nil, 3},
 		{"explicit budget", pages, []hipec.RegionOption{hipec.WithRegionRetryBudget(2)}, nil, 2},
+		{"budget past the cap", pages, []hipec.RegionOption{hipec.WithRegionRetryBudget(10)}, nil, 8},
 		{"zero pages", 0, nil, hipec.ErrBadRequest, 0},
 		{"negative pages", -1, nil, hipec.ErrBadRequest, 0},
 	}
