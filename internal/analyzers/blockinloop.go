@@ -9,7 +9,7 @@ import (
 // The blockinloop pass proves that command bodies executed on the kernel's
 // serialized loop cannot stall every other client: no blocking call —
 // time.Sleep, os file I/O, net operations, a provably-unbuffered channel
-// send — may be statically reachable from a closure passed to Loop.Call or
+// send — may be statically reachable from a command passed to Loop.Call or
 // Loop.Async. Reachability is chased through the module's own functions
 // using the engine's cross-package declaration index; a call through an
 // interface (substrate.Clock's backend, substrate.Store) is unresolvable
@@ -230,42 +230,93 @@ func (p *Pkg) provablyUnbuffered(ch ast.Expr, enclosing ast.Node) bool {
 	return seen && verdict
 }
 
-// loopClosures finds every function literal handed to the loop's Call/Async
-// mailbox methods in the package.
-func loopClosures(p *Pkg) []*ast.FuncLit {
-	var out []*ast.FuncLit
+// loopCommands finds every command handed to the loop's Call/Async mailbox
+// methods in the package: function literals, and function or method values
+// passed directly or through a local variable (a command bound once and
+// reused, so a hop allocates nothing). Each is returned as the literal or
+// the value expression. A command held anywhere else — a parameter, a
+// struct field — is not resolved: the pass fails open.
+func loopCommands(p *Pkg) []ast.Expr {
+	var out []ast.Expr
 	for _, f := range p.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
 			}
-			fn := p.funcFor(call)
-			if fn == nil || (fn.Name() != "Call" && fn.Name() != "Async") {
-				return true
-			}
-			pkgPath, recvName, ok := recvNamed(fn)
-			if !ok || pkgPath != "hipec/internal/core" || recvName != "Loop" {
-				return true
-			}
-			for _, arg := range call.Args {
-				if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
-					out = append(out, lit)
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
 				}
-			}
-			return true
-		})
+				fn := p.funcFor(call)
+				if fn == nil || (fn.Name() != "Call" && fn.Name() != "Async") {
+					return true
+				}
+				pkgPath, recvName, ok := recvNamed(fn)
+				if !ok || pkgPath != "hipec/internal/core" || recvName != "Loop" {
+					return true
+				}
+				for _, arg := range call.Args {
+					out = append(out, p.commandExprs(ast.Unparen(arg), fd.Body)...)
+				}
+				return true
+			})
+		}
 	}
 	return out
 }
 
+// commandExprs resolves one Loop command argument to the literals and
+// function values it can hold: itself, or for a local variable the values
+// assigned to it in the enclosing function body.
+func (p *Pkg) commandExprs(arg ast.Expr, enclosing *ast.BlockStmt) []ast.Expr {
+	id, ok := arg.(*ast.Ident)
+	if !ok {
+		return []ast.Expr{arg}
+	}
+	v, ok := p.objectOf(id).(*types.Var)
+	if !ok {
+		return []ast.Expr{arg}
+	}
+	var out []ast.Expr
+	ast.Inspect(enclosing, func(n ast.Node) bool {
+		if as, ok := n.(*ast.AssignStmt); ok && len(as.Lhs) == len(as.Rhs) {
+			for i, lhs := range as.Lhs {
+				if lid, ok := lhs.(*ast.Ident); ok && p.objectOf(lid) == v {
+					out = append(out, ast.Unparen(as.Rhs[i]))
+				}
+			}
+		}
+		return true
+	})
+	return out
+}
+
 // checkBlockInLoop flags blocking work statically reachable from Loop
-// command closures.
+// commands.
 func checkBlockInLoop(p *Pkg, report reportFunc) {
-	for _, lit := range loopClosures(p) {
+	for _, cmd := range loopCommands(p) {
 		stack := map[*types.Func]bool{}
-		p.scanBlocking(lit.Body, lit.Body, 0, stack, func(n ast.Node, chain []string) {
+		found := func(n ast.Node, chain []string) {
 			report(n, "blocking call reachable from a Loop command closure (stalls every client of the loop): %s", strings.Join(chain, " -> "))
-		})
+		}
+		if lit, ok := cmd.(*ast.FuncLit); ok {
+			p.scanBlocking(lit.Body, lit.Body, 0, stack, found)
+			continue
+		}
+		var fn *types.Func
+		switch e := cmd.(type) {
+		case *ast.Ident:
+			fn, _ = p.Info.Uses[e].(*types.Func)
+		case *ast.SelectorExpr:
+			fn, _ = p.Info.Uses[e.Sel].(*types.Func)
+		}
+		if fn == nil {
+			continue // not a function value the engine can see: fail open
+		}
+		if chain := p.eng.blockChain(fn, 0, stack); chain != nil {
+			found(cmd, chain)
+		}
 	}
 }

@@ -29,3 +29,22 @@ func run(l *core.Loop, f *os.File) error {
 func flush(f *os.File) {
 	_ = f.Sync()
 }
+
+// conn binds its apply method once and hands the loop the same method
+// value on every hop; the method's body is chased like a literal's.
+type conn struct {
+	f *os.File
+}
+
+func (c *conn) apply(k *core.Kernel) error {
+	flush(c.f)
+	return nil
+}
+
+func serve(l *core.Loop, c *conn) error {
+	apply := c.apply // want `blockinloop: blocking call reachable from a Loop command closure .*conn\)\.apply -> .*flush -> \(\*os\.File\)\.Sync`
+	if err := l.Call(apply); err != nil {
+		return err
+	}
+	return l.Call(c.apply) // want `blockinloop: blocking call reachable from a Loop command closure .*conn\)\.apply -> .*flush`
+}

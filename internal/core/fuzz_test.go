@@ -80,8 +80,14 @@ func uint8ToOp(rng *rand.Rand) Opcode {
 
 // TestPropertyRandomPoliciesNeverLeakFrames is the kernel-robustness fuzz:
 // random policies drive faults until they either work or get terminated;
-// in every outcome the machine's frames remain fully accounted for and the
-// frame manager's books balance.
+// in every outcome the machine's frames remain fully accounted for, the
+// frame manager's books balance, and forced reclamation leaves every active
+// container its guaranteed minimum.
+//
+// MinFrame bounds what the frame manager may take (§4.3.1), not what a
+// policy may give back: a random program's Release can legally drop its
+// own container below MinFrame, so the bound is checked across a forced
+// reclamation, against the smaller of MinFrame and what the container held.
 func TestPropertyRandomPoliciesNeverLeakFrames(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -110,23 +116,37 @@ func TestPropertyRandomPoliciesNeverLeakFrames(t *testing.T) {
 				sp.Touch(addr) //nolint:errcheck
 			}
 		}
-		// Let the manager's asynchronous laundering finish.
-		k.Clock.Advance(5 * time.Second)
-		if k.FM.Stats().LaunderPending != 0 {
+		// settled lets the manager's asynchronous laundering finish, then
+		// checks frame conservation and that the sum of grants equals the
+		// manager's ledger.
+		settled := func() bool {
+			k.Clock.Advance(5 * time.Second)
+			if k.FM.Stats().LaunderPending != 0 {
+				return false
+			}
+			kernelConservation(t, k)
+			total := 0
+			for _, cc := range k.FM.Containers() {
+				total += cc.Allocated()
+			}
+			return total == k.FM.SpecificTotal()
+		}
+		if !settled() {
 			return false
 		}
-		kernelConservation(t, k)
-		// Manager accounting: sum of grants equals its ledger.
-		total := 0
-		for _, cc := range k.FM.Containers() {
-			total += cc.Allocated()
-		}
-		if c.state == StateActive && c.allocated < c.MinFrame {
+		held := c.allocated
+		k.FM.reclaimForced(k.FM.SpecificTotal(), nil)
+		if c.state == StateActive && c.allocated < min(held, c.MinFrame) {
 			return false
 		}
-		return total == k.FM.SpecificTotal()
+		return settled()
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+	// A seed whose policy Releases its own container to one frame, below
+	// its MinFrame of 8: legal, and the property must hold.
+	if !f(7562520694726866662) {
+		t.Fatal("seed 7562520694726866662 failed")
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"sync"
 
 	"hipec/internal/substrate"
 )
@@ -13,7 +14,7 @@ var ErrLoopClosed = errors.New("core: kernel loop closed")
 // lock inside the engine: an actor-style serialized command loop. The
 // kernel stays a single-writer structure — exactly the discipline the
 // simulation gets for free from its one virtual clock — and concurrency
-// lives entirely at this boundary: callers enqueue closures into a mailbox,
+// lives entirely at this boundary: callers enqueue commands into a mailbox,
 // one engine goroutine applies them in arrival order. This is the same
 // shape as the sharded scale harness (bench.RunSharded), with the shard
 // count fixed at one and the workload arriving live instead of replayed.
@@ -25,12 +26,27 @@ var ErrLoopClosed = errors.New("core: kernel loop closed")
 // touching the kernel from a timer goroutine.
 type Loop struct {
 	k    *Kernel
-	mbox chan func()
+	mbox chan command
 	done chan struct{} // closed when the engine goroutine has exited
 	// sess backs the loop's typed client methods (Open/WritePage/...);
 	// touched only from closures running on the engine goroutine.
 	sess *CacheSession
 }
+
+// command is one mailbox entry: a Call (call and errc), an Async or a timer
+// callback. The zero command is Close's stop sentinel. Carrying the caller's
+// function and its reply channel as fields, instead of wrapping them in a
+// closure, is what lets a Call with a preallocated fn allocate nothing.
+type command struct {
+	call  func(*Kernel) error
+	errc  chan error // call's reply, from errcPool
+	async func(*Kernel)
+	timer func()
+}
+
+// errcPool recycles Call's reply channels. A channel goes back only after
+// its reply has been received, so a recycled channel is always empty.
+var errcPool = sync.Pool{New: func() any { return make(chan error, 1) }}
 
 // DefaultMailboxDepth bounds how many commands may queue before senders
 // block — enough to absorb bursts, small enough to apply backpressure
@@ -43,7 +59,7 @@ const DefaultMailboxDepth = 128
 func NewLoop(k *Kernel) *Loop {
 	l := &Loop{
 		k:    k,
-		mbox: make(chan func(), DefaultMailboxDepth),
+		mbox: make(chan command, DefaultMailboxDepth),
 		done: make(chan struct{}),
 		sess: NewCacheSession(),
 	}
@@ -54,15 +70,21 @@ func NewLoop(k *Kernel) *Loop {
 	return l
 }
 
-// run is the engine goroutine: apply mailbox closures in order until one of
-// them (enqueued by Close) reports stop.
+// run is the engine goroutine: apply mailbox commands in order until Close's
+// stop sentinel arrives.
 func (l *Loop) run() {
 	defer close(l.done)
-	for fn := range l.mbox {
-		if fn == nil { // Close's stop sentinel
+	for cmd := range l.mbox {
+		switch {
+		case cmd.errc != nil:
+			cmd.errc <- cmd.call(l.k)
+		case cmd.async != nil:
+			cmd.async(l.k)
+		case cmd.timer != nil:
+			cmd.timer()
+		default: // Close's stop sentinel
 			return
 		}
-		fn()
 	}
 }
 
@@ -78,7 +100,7 @@ func (l *Loop) run() {
 // when the engine exits without draining it.
 func (l *Loop) enqueue(run func()) {
 	select {
-	case l.mbox <- run:
+	case l.mbox <- command{timer: run}:
 	case <-l.done:
 		// Dropped: engine exited, kernel ownership has passed to the closer.
 	}
@@ -92,20 +114,22 @@ func (l *Loop) Call(fn func(k *Kernel) error) error {
 		return ErrLoopClosed
 	default:
 	}
-	errc := make(chan error, 1)
+	errc := errcPool.Get().(chan error)
 	select {
-	case l.mbox <- func() { errc <- fn(l.k) }:
+	case l.mbox <- command{call: fn, errc: errc}:
 	case <-l.done:
 		return ErrLoopClosed
 	}
 	select {
 	case err := <-errc:
+		errcPool.Put(errc)
 		return err
 	case <-l.done:
 		// The loop shut down while fn was queued; it may still have been
-		// the last closure applied before the sentinel.
+		// the last command applied before the sentinel.
 		select {
 		case err := <-errc:
+			errcPool.Put(errc)
 			return err
 		default:
 			return ErrLoopClosed
@@ -124,7 +148,7 @@ func (l *Loop) Async(fn func(k *Kernel)) bool {
 	default:
 	}
 	select {
-	case l.mbox <- func() { fn(l.k) }:
+	case l.mbox <- command{async: fn}:
 		return true
 	case <-l.done:
 		return false
@@ -150,7 +174,7 @@ func (l *Loop) Close() {
 	default:
 	}
 	select {
-	case l.mbox <- nil:
+	case l.mbox <- command{}:
 	case <-l.done:
 		return
 	}

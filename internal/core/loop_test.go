@@ -197,6 +197,43 @@ func TestLoopCloseKeepsGateInstalled(t *testing.T) {
 	}
 }
 
+// TestLoopCallAndAsyncDoNotAllocate pins the mailbox hop at zero
+// allocations: a command travels by value, Call's reply channel comes from
+// a pool, and the caller's fn is preallocated here, as the server binds its
+// batch function once per connection.
+func TestLoopCallAndAsyncDoNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under -race")
+	}
+	l := NewLoop(realKernel(64))
+	defer l.Close()
+	ran := 0 // engine-owned
+	call := func(*Kernel) error { ran++; return nil }
+	async := func(*Kernel) { ran++ }
+	if avg := testing.AllocsPerRun(1000, func() {
+		if err := l.Call(call); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Errorf("Loop.Call allocates %.2f/op, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(1000, func() {
+		if !l.Async(async) {
+			t.Fatal("Async rejected on an open loop")
+		}
+	}); avg != 0 {
+		t.Errorf("Loop.Async allocates %.2f/op, want 0", avg)
+	}
+	if err := l.Call(func(*Kernel) error {
+		if ran != 2002 { // AllocsPerRun adds one warm-up run each
+			t.Errorf("ran %d commands, want 2002", ran)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestLoopOnSimKernel: the loop is substrate-agnostic — a simulated kernel
 // can be driven through it too (there is just no gate to install).
 func TestLoopOnSimKernel(t *testing.T) {

@@ -24,18 +24,42 @@ import (
 type Client struct {
 	conn net.Conn
 
-	wmu sync.Mutex // serializes frame writes
-	out *bufio.Writer
+	wmu  sync.Mutex // serializes frame building and writes
+	wbuf []byte     // the frame being written, reused across requests
 
 	mu      sync.Mutex // guards seq, pending, sticky err
 	seq     uint32
-	pending map[uint32]chan wire.Response // nil channel = fire-and-forget
-	err     error                         // sticky transport failure
+	pending map[uint32]*call // nil slot = fire-and-forget
+	err     error            // sticky transport failure
 
 	pageSize int
-	closed   chan struct{}
 	readerWG sync.WaitGroup
 }
+
+// call is the reply slot of one in-flight round trip. After send it is
+// completed exactly once — by the reader when the reply arrives, by fail
+// when the transport dies, or by send when the frame cannot be built — and
+// done carries that one signal.
+type call struct {
+	buf  []byte // a read reply's payload is copied here
+	resp wire.Response
+	err  error
+	done chan struct{} // capacity 1
+}
+
+// complete fills the slot and wakes its waiter. A nil slot (fire-and-forget)
+// has no waiter.
+func (cl *call) complete(resp wire.Response, err error) {
+	if cl == nil {
+		return
+	}
+	cl.resp, cl.err = resp, err
+	cl.done <- struct{}{}
+}
+
+// callPool recycles reply slots. A slot goes back only after its waiter
+// has received the one signal, so a recycled slot's done is empty.
+var callPool = sync.Pool{New: func() any { return &call{done: make(chan struct{}, 1)} }}
 
 // Dial connects to a HiPEC server, performs the hello exchange, and returns
 // a ready client.
@@ -46,13 +70,11 @@ func Dial(addr string) (*Client, error) {
 	}
 	c := &Client{
 		conn:    conn,
-		out:     bufio.NewWriter(conn),
-		pending: make(map[uint32]chan wire.Response),
-		closed:  make(chan struct{}),
+		pending: make(map[uint32]*call),
 	}
 	c.readerWG.Add(1)
 	go c.readLoop()
-	resp, err := c.roundTrip(func(dst []byte, seq uint32) ([]byte, error) {
+	resp, err := c.roundTrip(nil, func(dst []byte, seq uint32) ([]byte, error) {
 		return wire.AppendHello(dst, seq), nil
 	})
 	if err != nil {
@@ -70,104 +92,78 @@ func Dial(addr string) (*Client, error) {
 // errClosed is the sticky error after Close or a transport failure.
 var errClosed = fmt.Errorf("hipec client: connection closed")
 
-// send allocates a seq, registers its waiter (nil ch = discard the reply),
-// builds the frame, and writes it.
-func (c *Client) send(build func(dst []byte, seq uint32) ([]byte, error), ch chan wire.Response) (uint32, error) {
+// send registers cl under a fresh seq (nil cl = discard the reply), builds
+// the frame into the connection's write buffer, and writes it. Whatever
+// happens, a non-nil cl is completed exactly once, so its caller always
+// waits on cl.done; the error is for fire-and-forget callers.
+func (c *Client) send(cl *call, build func(dst []byte, seq uint32) ([]byte, error)) error {
 	c.mu.Lock()
-	if c.err != nil {
-		err := c.err
+	if err := c.err; err != nil {
 		c.mu.Unlock()
-		return 0, err
+		cl.complete(wire.Response{}, err)
+		return err
 	}
 	c.seq++
 	seq := c.seq
-	c.pending[seq] = ch
+	c.pending[seq] = cl
 	c.mu.Unlock()
 
-	frame, err := build(nil, seq)
-	if err != nil {
-		c.forgetSeq(seq)
-		return 0, err
-	}
 	c.wmu.Lock()
-	_, werr := c.out.Write(frame)
-	if werr == nil {
-		werr = c.out.Flush()
+	frame, err := build(c.wbuf[:0], seq)
+	if err != nil {
+		c.wmu.Unlock()
+		// Never sent. fail may already have claimed and completed the slot.
+		c.mu.Lock()
+		_, mine := c.pending[seq]
+		delete(c.pending, seq)
+		c.mu.Unlock()
+		if mine {
+			cl.complete(wire.Response{}, err)
+		}
+		return err
 	}
+	c.wbuf = frame
+	_, err = c.conn.Write(frame)
 	c.wmu.Unlock()
-	if werr != nil {
-		c.forgetSeq(seq)
-		c.fail(werr)
-		return 0, werr
+	if err != nil {
+		c.fail(err) // completes the slot unless the reader already has
+		return err
 	}
-	return seq, nil
+	return nil
 }
 
-func (c *Client) forgetSeq(seq uint32) {
-	c.mu.Lock()
-	delete(c.pending, seq)
-	c.mu.Unlock()
+// roundTrip sends one request and waits for its reply. A read reply's
+// payload is copied into buf and resp.Data is that copy.
+func (c *Client) roundTrip(buf []byte, build func(dst []byte, seq uint32) ([]byte, error)) (wire.Response, error) {
+	cl := callPool.Get().(*call)
+	cl.buf = buf
+	_ = c.send(cl, build)
+	<-cl.done
+	resp, err := cl.resp, cl.err
+	cl.buf, cl.resp, cl.err = nil, wire.Response{}, nil
+	callPool.Put(cl)
+	if err == nil && resp.Status != wire.StatusOK {
+		err = wire.SentinelError(resp.Status, resp.Msg)
+	}
+	return resp, err
 }
 
-// roundTrip sends one request and waits for its reply.
-func (c *Client) roundTrip(build func(dst []byte, seq uint32) ([]byte, error)) (wire.Response, error) {
-	ch := make(chan wire.Response, 1)
-	if _, err := c.send(build, ch); err != nil {
-		return wire.Response{}, err
-	}
-	select {
-	case resp, ok := <-ch:
-		if !ok {
-			return wire.Response{}, c.stickyErr()
-		}
-		if resp.Status != wire.StatusOK {
-			return resp, wire.SentinelError(resp.Status, resp.Msg)
-		}
-		return resp, nil
-	case <-c.closed:
-		// The reader may have delivered just before failing.
-		select {
-		case resp, ok := <-ch:
-			if ok {
-				if resp.Status != wire.StatusOK {
-					return resp, wire.SentinelError(resp.Status, resp.Msg)
-				}
-				return resp, nil
-			}
-		default:
-		}
-		return wire.Response{}, c.stickyErr()
-	}
-}
-
-func (c *Client) stickyErr() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.err != nil {
-		return c.err
-	}
-	return errClosed
-}
-
-// fail records the first transport error, wakes every waiter, and tears the
-// connection down.
+// fail records the first transport error, completes every pending slot
+// with it, and tears the connection down.
 func (c *Client) fail(err error) {
 	c.mu.Lock()
 	if c.err == nil {
 		c.err = err
-		close(c.closed)
 	}
-	for seq, ch := range c.pending {
+	for seq, cl := range c.pending {
 		delete(c.pending, seq)
-		if ch != nil {
-			close(ch)
-		}
+		cl.complete(wire.Response{}, c.err)
 	}
 	c.mu.Unlock()
 	c.conn.Close()
 }
 
-// readLoop delivers replies to their waiters until the connection dies.
+// readLoop delivers replies to their slots until the connection dies.
 func (c *Client) readLoop() {
 	defer c.readerWG.Done()
 	in := bufio.NewReaderSize(c.conn, 64*1024)
@@ -185,22 +181,22 @@ func (c *Client) readLoop() {
 			return
 		}
 		c.mu.Lock()
-		ch, ok := c.pending[resp.Seq]
+		cl, ok := c.pending[resp.Seq]
 		delete(c.pending, resp.Seq)
 		c.mu.Unlock()
 		if !ok {
 			c.fail(fmt.Errorf("hipec client: reply for unknown seq %d", resp.Seq))
 			return
 		}
-		if ch == nil {
+		if cl == nil {
 			continue // fire-and-forget (TouchAsync): reply discarded
 		}
-		// Data aliases the read buffer, which the next ReadFrame reuses;
-		// copy before handing off.
-		if len(resp.Data) > 0 {
-			resp.Data = append([]byte(nil), resp.Data...)
+		// Data aliases the read buffer, which the next ReadFrame reuses:
+		// copy it straight into the caller's buffer.
+		if resp.Data != nil {
+			resp.Data = cl.buf[:copy(cl.buf, resp.Data)]
 		}
-		ch <- resp
+		cl.complete(resp, nil)
 	}
 }
 
@@ -220,7 +216,7 @@ func (c *Client) Open(pages int, opts ...core.RegionOption) (core.RegionID, erro
 	// A non-positive budget means "kernel default", as in-process; 0 is its
 	// wire spelling.
 	retry := uint32(min(max(int64(o.Retry), 0), math.MaxUint32))
-	resp, err := c.roundTrip(func(dst []byte, seq uint32) ([]byte, error) {
+	resp, err := c.roundTrip(nil, func(dst []byte, seq uint32) ([]byte, error) {
 		return wire.AppendOpen(dst, seq, uint32(pages), o.Name, o.Source, retry)
 	})
 	if err != nil {
@@ -239,7 +235,7 @@ func (c *Client) WritePage(r core.RegionID, page int, data []byte) error {
 	if len(data) > c.pageSize {
 		return fmt.Errorf("hipec client: payload %d bytes exceeds page size %d: %w", len(data), c.pageSize, hiperr.ErrBadRequest)
 	}
-	_, err = c.roundTrip(func(dst []byte, seq uint32) ([]byte, error) {
+	_, err = c.roundTrip(nil, func(dst []byte, seq uint32) ([]byte, error) {
 		return wire.AppendWrite(dst, seq, uint32(r), p, data)
 	})
 	return err
@@ -252,13 +248,13 @@ func (c *Client) ReadPage(r core.RegionID, page int, buf []byte) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	resp, err := c.roundTrip(func(dst []byte, seq uint32) ([]byte, error) {
+	resp, err := c.roundTrip(buf, func(dst []byte, seq uint32) ([]byte, error) {
 		return wire.AppendRead(dst, seq, uint32(r), p, uint32(len(buf))), nil
 	})
 	if err != nil {
 		return 0, err
 	}
-	return copy(buf, resp.Data), nil
+	return len(resp.Data), nil
 }
 
 // TouchPage read-faults page page of region r.
@@ -267,7 +263,7 @@ func (c *Client) TouchPage(r core.RegionID, page int) error {
 	if err != nil {
 		return err
 	}
-	_, err = c.roundTrip(func(dst []byte, seq uint32) ([]byte, error) {
+	_, err = c.roundTrip(nil, func(dst []byte, seq uint32) ([]byte, error) {
 		return wire.AppendTouch(dst, seq, uint32(r), p), nil
 	})
 	return err
@@ -282,10 +278,9 @@ func (c *Client) TouchAsync(r core.RegionID, page int) bool {
 	if err != nil {
 		return false
 	}
-	_, err = c.send(func(dst []byte, seq uint32) ([]byte, error) {
+	return c.send(nil, func(dst []byte, seq uint32) ([]byte, error) {
 		return wire.AppendTouch(dst, seq, uint32(r), p), nil
-	}, nil)
-	return err == nil
+	}) == nil
 }
 
 // wirePage narrows a page index to the wire's 32 bits. An index the wire
@@ -300,7 +295,7 @@ func wirePage(page int) (uint32, error) {
 
 // FreeRegion releases region r on the server.
 func (c *Client) FreeRegion(r core.RegionID) error {
-	_, err := c.roundTrip(func(dst []byte, seq uint32) ([]byte, error) {
+	_, err := c.roundTrip(nil, func(dst []byte, seq uint32) ([]byte, error) {
 		return wire.AppendFree(dst, seq, uint32(r)), nil
 	})
 	return err
@@ -308,7 +303,7 @@ func (c *Client) FreeRegion(r core.RegionID) error {
 
 // Stats snapshots the server's machine-wide counters.
 func (c *Client) Stats() (core.CacheStats, error) {
-	resp, err := c.roundTrip(func(dst []byte, seq uint32) ([]byte, error) {
+	resp, err := c.roundTrip(nil, func(dst []byte, seq uint32) ([]byte, error) {
 		return wire.AppendStats(dst, seq), nil
 	})
 	if err != nil {

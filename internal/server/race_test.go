@@ -1,0 +1,7 @@
+//go:build race
+
+package server
+
+// raceEnabled skips the allocation pins: under the race detector sync.Pool
+// drops Puts at random, so pooled paths allocate.
+const raceEnabled = true

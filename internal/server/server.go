@@ -8,7 +8,7 @@
 // paper eliminated right back on the hot path — this time as a channel, not
 // a syscall. Instead each connection decodes as many frames as have already
 // arrived (bounded by WithMaxBatch) and applies the whole batch in ONE
-// Loop.Call, then writes all the replies with one flush. Pipelined clients
+// Loop.Call, then writes all the replies with one write. Pipelined clients
 // amortize the crossing exactly the way the policy executor amortizes clock
 // charges across an event boundary.
 package server
@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 
 	"hipec/internal/core"
@@ -87,6 +88,13 @@ type Server struct {
 
 	wg  sync.WaitGroup // accept loop + one handler per connection
 	sem chan struct{}  // connection slots
+
+	// frames recycles request frame buffers (*[]byte) across connections.
+	// Only buffers that hold at most one page write go back, and the GC
+	// drains what an idle server no longer needs, so a burst of maximal
+	// frames is never pinned.
+	frames   sync.Pool
+	frameCap int
 }
 
 // New assembles a realtime kernel over store (page size taken from the
@@ -103,12 +111,20 @@ func New(store substrate.Store, opts ...Option) *Server {
 		BurstFraction: 0.5, // the paper's partition_burst figure
 		Substrate:     substrate.Config{Kind: substrate.KindReal, Store: store},
 	})
-	return &Server{
+	s := &Server{
 		loop:  core.NewLoop(k),
 		opts:  o,
 		conns: make(map[net.Conn]struct{}),
 		sem:   make(chan struct{}, o.maxConns),
+		// One page write plus header room, the margin wire.MaxFrame gives
+		// the largest page.
+		frameCap: store.PageSize() + 128,
 	}
+	s.frames.New = func() any {
+		b := make([]byte, 0, s.frameCap)
+		return &b
+	}
+	return s
 }
 
 // Loop exposes the server's command loop for in-process callers (tests,
@@ -225,76 +241,105 @@ func (s *Server) handle(c net.Conn) {
 	defer s.forget(c)
 	defer c.Close()
 
-	sess := core.NewCacheSession()
+	cs := &conn{s: s, sess: core.NewCacheSession(), batch: make([]queued, 0, s.opts.maxBatch)}
 	defer func() {
 		// The loop may already be closed during server shutdown; region
 		// teardown is then part of kernel teardown and nothing leaks.
-		_ = s.loop.Call(func(k *core.Kernel) error { sess.FreeAll(k); return nil })
+		_ = s.loop.Call(func(k *core.Kernel) error { cs.sess.FreeAll(k); return nil })
 	}()
 
-	reqs := make(chan wire.Request, 4*s.opts.maxBatch)
+	reqs := make(chan queued, 4*s.opts.maxBatch)
 	done := make(chan struct{}) // unblocks the reader if the batcher quits first
 	defer close(done)
 	go s.readLoop(c, reqs, done)
 
-	out := bufio.NewWriter(c)
-	batch := make([]wire.Request, 0, s.opts.maxBatch)
-	var reply []byte
+	apply := cs.applyBatch // bound once: every hop hands the loop the same func
 	for {
 		first, ok := <-reqs
 		if !ok {
 			return
 		}
-		batch = append(batch[:0], first)
+		cs.batch = append(cs.batch[:0], first)
 		// Fill the batch from what has already arrived.
 	drain:
-		for len(batch) < s.opts.maxBatch {
+		for len(cs.batch) < s.opts.maxBatch {
 			select {
-			case r, ok := <-reqs:
+			case q, ok := <-reqs:
 				if !ok {
 					break drain
 				}
-				batch = append(batch, r)
+				cs.batch = append(cs.batch, q)
 			default:
 				break drain
 			}
 		}
 
-		// One Loop hop for the whole batch.
-		reply = reply[:0]
-		err := s.loop.Call(func(k *core.Kernel) error {
-			for _, req := range batch {
-				reply = s.execute(k, sess, req, reply)
-			}
-			return nil
-		})
+		// One Loop hop for the whole batch. Once it returns nothing reads a
+		// request's Data again, so the frames go back to the pool.
+		cs.reply = cs.reply[:0]
+		err := s.loop.Call(apply)
+		for _, q := range cs.batch {
+			s.recycle(q.frame)
+		}
+		clear(cs.batch) // keep no frame the pool refused reachable
 		if err != nil {
 			return // loop closed: server shutting down
 		}
-		if _, err := out.Write(reply); err != nil {
+		if _, err := c.Write(cs.reply); err != nil {
 			return
 		}
-		if err := out.Flush(); err != nil {
-			return
-		}
+	}
+}
+
+// conn is one connection's batcher state. Its applyBatch method value is
+// bound once per connection, so a batch's Loop hop allocates nothing.
+type conn struct {
+	s     *Server
+	sess  *core.CacheSession
+	batch []queued
+	reply []byte // the batch's reply frames, written with one Write
+}
+
+// queued is one decoded request and the pooled frame buffer its Data
+// aliases.
+type queued struct {
+	req   wire.Request
+	frame *[]byte
+}
+
+// applyBatch executes the batch on the engine goroutine.
+func (cs *conn) applyBatch(k *core.Kernel) error {
+	for i := range cs.batch {
+		cs.reply = cs.s.execute(k, cs.sess, cs.batch[i].req, cs.reply)
+	}
+	return nil
+}
+
+// recycle returns a frame buffer to the pool unless a frame larger than a
+// page write grew it.
+func (s *Server) recycle(frame *[]byte) {
+	if cap(*frame) <= s.frameCap {
+		s.frames.Put(frame)
 	}
 }
 
 // readLoop decodes frames off the connection into reqs until the peer goes
 // away or sends garbage; either way the channel closes and the batcher
 // finishes what it has.
-func (s *Server) readLoop(c net.Conn, reqs chan<- wire.Request, done <-chan struct{}) {
+func (s *Server) readLoop(c net.Conn, reqs chan<- queued, done <-chan struct{}) {
 	defer close(reqs)
 	in := bufio.NewReaderSize(c, 64*1024)
 	hello := false
 	for {
-		// Each frame gets its own buffer: requests are queued past the
-		// read, so the payload (policy source, write data) must survive.
-		// Allocation stays bounded by wire.MaxFrame per frame.
-		frame, err := wire.ReadFrame(in, nil)
+		// Requests are queued past the read and a write's Data aliases its
+		// frame, so each frame has its own pooled buffer until its batch
+		// has been applied. Allocation stays bounded by wire.MaxFrame.
+		buf := s.frames.Get().(*[]byte)
+		frame, err := wire.ReadFrame(in, *buf)
 		if err != nil {
 			return // EOF, reset, or malformed prefix — drop the conn
 		}
+		*buf = frame
 		req, err := wire.DecodeRequest(frame)
 		if err != nil {
 			return // protocol violation: no recovery mid-stream
@@ -306,7 +351,7 @@ func (s *Server) readLoop(c net.Conn, reqs chan<- wire.Request, done <-chan stru
 			hello = true
 		}
 		select {
-		case reqs <- req:
+		case reqs <- queued{req, buf}:
 		case <-done:
 			return
 		}
@@ -347,16 +392,18 @@ func (s *Server) execute(k *core.Kernel, sess *core.CacheSession, req wire.Reque
 		}
 		return wire.AppendAck(dst, req.Seq)
 	case wire.OpRead:
-		maxLen := int(req.MaxLen)
-		if maxLen > k.VM.PageSize() {
-			maxLen = k.VM.PageSize()
-		}
-		buf := make([]byte, maxLen)
-		n, err := sess.Read(k, core.RegionID(req.Region), int(req.Page), buf)
+		// Clamp before reserving: a hostile MaxLen must not size the reply.
+		maxLen := min(int(req.MaxLen), k.VM.PageSize())
+		// The page is copied straight into the reply, where AppendReadResp
+		// puts the payload: the header then fills the gap in front of it
+		// and the payload's append copies onto itself. No buffer per read.
+		at := len(dst) + readRespHeader
+		dst = slices.Grow(dst, readRespHeader+maxLen)
+		n, err := sess.Read(k, core.RegionID(req.Region), int(req.Page), dst[at:at+maxLen])
 		if err != nil {
 			return fail(err)
 		}
-		return wire.AppendReadResp(dst, req.Seq, buf[:n])
+		return wire.AppendReadResp(dst, req.Seq, dst[at:at+n])
 	case wire.OpTouch:
 		if err := sess.Touch(k, core.RegionID(req.Region), int(req.Page)); err != nil {
 			return fail(err)
@@ -369,6 +416,9 @@ func (s *Server) execute(k *core.Kernel, sess *core.CacheSession, req wire.Reque
 	}
 	return fail(fmt.Errorf("server: unhandled op %d: %w", req.Op, errUnhandled))
 }
+
+// readRespHeader is the length of a read reply up to its payload.
+var readRespHeader = len(wire.AppendReadResp(nil, 0, nil))
 
 // errUnhandled is unreachable while the decoder and this switch agree on
 // the op set; it exists so a future op added to one but not the other fails

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
@@ -381,7 +382,7 @@ func TestHostileRetryBudgetIsClamped(t *testing.T) {
 	defer c.Close()
 
 	// Client.Open would never send this; speak the wire directly.
-	resp, err := c.roundTrip(func(dst []byte, seq uint32) ([]byte, error) {
+	resp, err := c.roundTrip(nil, func(dst []byte, seq uint32) ([]byte, error) {
 		return wire.AppendOpen(dst, seq, pages, "", "", math.MaxUint32)
 	})
 	if err != nil {
@@ -404,7 +405,7 @@ func TestHostileRetryBudgetIsClamped(t *testing.T) {
 }
 
 // A peer can also ask any read for a 32-bit MaxLen. The server must clamp it
-// to the page size before allocating the reply buffer, or one request buys
+// to the page size before sizing the reply, or one request buys
 // a hostile peer a buffer of its choosing (refuse-before-allocate, the rule
 // wire.MaxFrame enforces on frame prefixes).
 func TestHostileReadLengthIsClamped(t *testing.T) {
@@ -423,10 +424,11 @@ func TestHostileReadLengthIsClamped(t *testing.T) {
 	}
 
 	const hostile = 256 << 20
+	buf := make([]byte, 2*testPageSize) // room for more than the clamp allows
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	// Client.ReadPage would never send this; speak the wire directly.
-	resp, err := c.roundTrip(func(dst []byte, seq uint32) ([]byte, error) {
+	resp, err := c.roundTrip(buf, func(dst []byte, seq uint32) ([]byte, error) {
 		return wire.AppendRead(dst, seq, uint32(r), 0, hostile), nil
 	})
 	runtime.ReadMemStats(&after)
@@ -438,5 +440,220 @@ func TestHostileReadLengthIsClamped(t *testing.T) {
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got >= hostile/16 {
 		t.Fatalf("one read with MaxLen %d allocated %d bytes; the server must clamp to the page size first", hostile, got)
+	}
+}
+
+// The steady-state request path allocates nothing anywhere in the process:
+// the client's reply slots and write buffer, the server's frame buffers,
+// batch hop and reply buffer, and the loop's mailbox entries are all
+// reused. Counted process-wide, so the server's goroutines are included.
+func TestRequestPathDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under -race")
+	}
+	_, addr := newTestServer(t, WithFrames(64))
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer c.Close()
+	r, err := c.Open(4)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	page := bytes.Repeat([]byte{0x5a}, testPageSize)
+	buf := make([]byte, testPageSize)
+	for _, tc := range []struct {
+		name string
+		op   func() error
+	}{
+		{"WritePage", func() error { return c.WritePage(r, 0, page) }},
+		{"ReadPage", func() error {
+			if n, err := c.ReadPage(r, 0, buf); err != nil || n != testPageSize || buf[n-1] != 0x5a {
+				return fmt.Errorf("read %d bytes, err %v", n, err)
+			}
+			return nil
+		}},
+		{"TouchPage", func() error { return c.TouchPage(r, 1) }},
+		{"TouchAsync", func() error {
+			if !c.TouchAsync(r, 2) {
+				return errors.New("TouchAsync refused")
+			}
+			return nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if avg := testing.AllocsPerRun(500, func() {
+				if err := tc.op(); err != nil {
+					t.Fatal(err)
+				}
+			}); avg != 0 {
+				t.Errorf("%s allocates %.2f/op, want 0", tc.name, avg)
+			}
+			if err := c.TouchPage(r, 3); err != nil { // drain discarded replies
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// Sixteen goroutines share one Client, each reading its own stamped page.
+// Reply slots are pooled and a read's payload is copied straight into the
+// caller's buffer, so a slot handed to the wrong waiter, or reused while
+// its reader is still copying, shows up as another goroutine's stamp. Then
+// the server closes mid-flight: every call returns its own bytes or an
+// error, never another's and never a hang.
+func TestReplySlotsNeverCrossCalls(t *testing.T) {
+	const workers, reads = 16, 2000
+	srv, addr := newTestServer(t, WithFrames(64))
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer c.Close()
+	r, err := c.Open(workers)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	stamp := func(g int) byte { return byte(0x11 * (g + 1)) }
+	for g := 0; g < workers; g++ {
+		if err := c.WritePage(r, g, bytes.Repeat([]byte{stamp(g)}, testPageSize)); err != nil {
+			t.Fatalf("write %d: %v", g, err)
+		}
+	}
+	// read returns an error, or nil after checking the bytes are g's own.
+	read := func(g int, buf []byte) error {
+		clear(buf)
+		n, err := c.ReadPage(r, g, buf)
+		if err != nil {
+			return err
+		}
+		if n != testPageSize {
+			t.Errorf("worker %d: read %d bytes, want %d", g, n, testPageSize)
+		}
+		for i, b := range buf {
+			if b != stamp(g) {
+				t.Errorf("worker %d: byte %d is %#x, want its own stamp %#x", g, i, b, stamp(g))
+				break
+			}
+		}
+		return nil
+	}
+	run := func(body func(g int, buf []byte)) {
+		var wg sync.WaitGroup
+		for g := 0; g < workers; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				body(g, make([]byte, testPageSize))
+			}(g)
+		}
+		finished := make(chan struct{})
+		go func() { wg.Wait(); close(finished) }()
+		select {
+		case <-finished:
+		case <-time.After(60 * time.Second):
+			t.Fatal("calls hung")
+		}
+	}
+
+	run(func(g int, buf []byte) {
+		for i := 0; i < reads && !t.Failed(); i++ {
+			if err := read(g, buf); err != nil {
+				t.Errorf("worker %d read %d: %v", g, i, err)
+				return
+			}
+		}
+	})
+
+	var started sync.WaitGroup
+	started.Add(workers)
+	go func() {
+		started.Wait()
+		time.Sleep(5 * time.Millisecond) // let traffic flow
+		srv.Close()
+	}()
+	run(func(g int, buf []byte) {
+		started.Done()
+		for !t.Failed() {
+			if err := read(g, buf); err != nil {
+				return // transport error: the expected end
+			}
+		}
+	})
+}
+
+// Recycling frame buffers must not pin a burst of maximal frames. A raw
+// peer sends 4*DefaultMaxBatch write frames with the largest payload the
+// wire allows (16 MiB in all) while the loop is held, so every queue slot
+// and the whole batch hold one, and then idles. After one GC the process's
+// in-use heap must be less than 4 MiB larger than before the burst. A pool
+// that kept every returned frame would still hold about 20 MiB: sync.Pool
+// survives one GC in its victim cache.
+func TestHostileFrameBurstIsNotRetained(t *testing.T) {
+	srv, addr := newTestServer(t)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer conn.Close()
+	in := bufio.NewReader(conn)
+	// roundTrip writes out, then reads replies until the one for seq.
+	roundTrip := func(out []byte, seq uint32) {
+		t.Helper()
+		if _, err := conn.Write(out); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		var buf []byte
+		for {
+			frame, err := wire.ReadFrame(in, buf)
+			if err != nil {
+				t.Fatalf("read reply: %v", err)
+			}
+			resp, err := wire.DecodeResponse(frame)
+			if err != nil {
+				t.Fatalf("decode reply: %v", err)
+			}
+			if resp.Seq == seq {
+				return
+			}
+			buf = frame[:0]
+		}
+	}
+	roundTrip(wire.AppendHello(nil, 1), 1)
+	const frames = 4 * DefaultMaxBatch
+	write, err := wire.AppendWrite(nil, 2, 1, 0, make([]byte, 64*1024))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+
+	held, release := make(chan struct{}), make(chan struct{})
+	go srv.Loop().Call(func(*core.Kernel) error { close(held); <-release; return nil })
+	<-held
+	sent := make(chan error, 1)
+	go func() {
+		for i := 0; i < frames; i++ {
+			if _, err := conn.Write(write); err != nil {
+				sent <- err
+				return
+			}
+		}
+		sent <- nil
+	}()
+	time.Sleep(100 * time.Millisecond) // the reader fills the queue
+	close(release)
+	if err := <-sent; err != nil {
+		t.Fatalf("burst: %v", err)
+	}
+	roundTrip(wire.AppendStats(nil, 3), 3) // every write frame has been applied
+
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	const bound = 4 << 20
+	if growth := int64(after.HeapInuse) - int64(before.HeapInuse); growth > bound {
+		t.Fatalf("in-use heap grew %d bytes across a %d-byte burst; bound %d", growth, frames*len(write), bound)
 	}
 }

@@ -31,7 +31,11 @@ type Store interface {
 	// with garbage.
 	WritePage(key PageKey, data []byte) error
 	// ReadPage fetches the page for key; ok is false for absent pages. A
-	// non-nil err means the page is present but could not be read.
+	// non-nil err means the page is present but could not be read. The
+	// returned slice may be the store's own memory: it stays valid until
+	// the next write or delete of that key, and on a backend with one read
+	// buffer (filestore, mmap) only until the next ReadPage. Callers copy
+	// it out before their next call on the store.
 	ReadPage(key PageKey) (data []byte, ok bool, err error)
 	// Contains reports whether the store holds a page for key.
 	Contains(key PageKey) bool
@@ -86,9 +90,14 @@ func (s *MemStore) WritePage(key PageKey, data []byte) error {
 		s.pages[key] = nil
 		return nil
 	}
-	buf := make([]byte, s.pageSize)
-	copy(buf, data)
-	s.pages[key] = buf
+	// Overwrite in place when the key already holds a page: a page-out of
+	// a resident page rewrites the same key over and over.
+	buf := s.pages[key]
+	if buf == nil {
+		buf = make([]byte, s.pageSize)
+		s.pages[key] = buf
+	}
+	clear(buf[copy(buf, data):])
 	return nil
 }
 

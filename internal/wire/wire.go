@@ -193,11 +193,16 @@ var (
 // capacity suffices; the returned slice aliases it. Allocation is bounded
 // by MaxFrame no matter what the prefix claims.
 func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	// The prefix is read into buf too: a local array would escape through
+	// the io.Reader call and cost an allocation per frame.
+	if cap(buf) < 4 {
+		buf = make([]byte, 4)
+	}
+	hdr := buf[:4]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := binary.LittleEndian.Uint32(hdr)
 	if n == 0 {
 		return nil, fmt.Errorf("%w: zero-length frame", ErrBadMessage)
 	}

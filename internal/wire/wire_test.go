@@ -126,6 +126,52 @@ func TestFrameStreamReuse(t *testing.T) {
 	}
 }
 
+// A reused buffer, across frames that grow and shrink, yields the same
+// frames as a fresh buffer per read, and once it has grown to the largest
+// frame ReadFrame allocates nothing — the length prefix included.
+func TestReadFrameReusedBufferDoesNotAllocate(t *testing.T) {
+	write, err := AppendWrite(AppendTouch(nil, 1, 2, 3), 2, 1, 0, bytes.Repeat([]byte{0xab}, 4096))
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := AppendWrite(AppendStats(write, 3), 4, 1, 1, bytes.Repeat([]byte{0xcd}, 64*1024))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream := AppendHello(AppendTouch(full, 5, 2, 4), 6)
+
+	r := bytes.NewReader(stream)
+	var want [][]byte
+	for {
+		payload, err := ReadFrame(r, nil)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, payload)
+	}
+	var buf []byte
+	pass := func() {
+		r.Reset(stream)
+		for i, w := range want {
+			payload, err := ReadFrame(r, buf)
+			if err != nil {
+				t.Fatalf("frame %d: %v", i, err)
+			}
+			if !bytes.Equal(payload, w) {
+				t.Fatalf("frame %d: reused buffer read %d bytes that differ from a fresh read", i, len(payload))
+			}
+			buf = payload[:0]
+		}
+	}
+	pass() // grows buf to the largest frame
+	if avg := testing.AllocsPerRun(100, pass); avg != 0 {
+		t.Fatalf("ReadFrame with a reused buffer allocates %.2f per pass, want 0", avg)
+	}
+}
+
 func TestReadFrameMalformedPrefix(t *testing.T) {
 	t.Run("zero length", func(t *testing.T) {
 		_, err := ReadFrame(bytes.NewReader([]byte{0, 0, 0, 0}), nil)
